@@ -52,7 +52,7 @@ let write_bench ?(hists = true) ~wall_ms name =
   let path = Printf.sprintf "BENCH_%s.json" name in
   let oc = open_out path in
   (* wall_ms is host time and varies run to run; every diff of these
-     files (make bench-pin / perf-compare, the perf phase itself)
+     files (make perf-compare, the perf phase itself)
      ignores that one line, so the rest stays a byte-stable pin while
      the trajectory still records speed. *)
   Printf.fprintf oc
@@ -924,24 +924,14 @@ let certify () =
 (* --- Faults: availability under injected faults. ---
 
    The experiment §5's replication argument calls for but the paper
-   never runs: startup latency through the proxy as the client's LAN
-   loses packets, and the cost of a primary crash with and without a
-   second replica to fail over to. Deterministic for the scenario
+   never runs: startup latency through the proxy farm as the client's
+   LAN loses packets, and the cost of a shard-0 crash with and without
+   a second shard to fail over to. Deterministic for the scenario
    seed: rerunning prints byte-identical tables. *)
 
 let faults () =
   section "Faults: availability vs loss rate (jlex startup, seeded faults)";
-  Printf.printf
-    "Per-attempt timeout %.0f ms, %d attempts, backoff %.0f..%.0f ms, seed %d\n"
-    (float_of_int Dvm.Availability.default_scenario.Dvm.Availability.sc_timeout_us
-    /. 1e3)
-    Dvm.Availability.default_scenario.Dvm.Availability.sc_max_attempts
-    (float_of_int
-       Dvm.Availability.default_scenario.Dvm.Availability.sc_base_backoff_us
-    /. 1e3)
-    (float_of_int
-       Dvm.Availability.default_scenario.Dvm.Availability.sc_max_backoff_us
-    /. 1e3)
+  Printf.printf "%s, seed %d\n" Dvm.Availability.parameters
     Dvm.Availability.default_scenario.Dvm.Availability.sc_seed;
   subsection "loss sweep";
   let av_points_json ps =
@@ -964,7 +954,7 @@ let faults () =
   in
   Dvm.Availability.print_table loss;
   bench_put "loss_sweep" (av_points_json loss);
-  subsection "primary crash at t=400ms (down 2.5s, cache-cold restart)";
+  subsection "shard-0 crash at t=400ms (down 2.5s, cache-cold restart)";
   let crash =
     Dvm.Availability.(
       sweep ~scenario:crash_scenario ~loss_pcts:[ 1.0 ]
@@ -976,17 +966,17 @@ let faults () =
     (fun p ->
       if p.Dvm.Availability.av_degraded > 0 then
         Printf.printf
-          "  %d replica(s): %d classes degraded to the error-propagation \
+          "  %d shard(s): %d classes degraded to the error-propagation \
            replacement\n"
           p.Dvm.Availability.av_replicas p.Dvm.Availability.av_degraded
       else
-        Printf.printf "  %d replica(s): all classes served (%d failovers)\n"
+        Printf.printf "  %d shard(s): all classes served (%d failovers)\n"
           p.Dvm.Availability.av_replicas p.Dvm.Availability.av_failovers)
     crash;
-  subsection "injected-fault trace (crash scenario, 2 replicas)";
+  subsection "injected-fault trace (crash scenario, 2 shards)";
   List.iter (Printf.printf "  %s\n")
     (List.nth crash 1).Dvm.Availability.av_trace;
-  subsection "SLO monitor (crash scenario, 2 replicas, 1% loss)";
+  subsection "SLO monitor (crash scenario, 2 shards, 1% loss)";
   let slo = Telemetry.Slo.create ~window_s:60 ~objective:0.99 () in
   let sp =
     Dvm.Availability.(
@@ -1217,7 +1207,7 @@ let control () =
 
 (* --- Perf: wall-clock trajectory against the pinned baselines. ---
 
-   Re-runs the three phases that write BENCH_<phase>.json, then diffs
+   Re-runs the six phases that write BENCH_<phase>.json, then diffs
    each fresh file against the baseline that was on disk (i.e. the
    committed one, in a clean tree) — ignoring only the wall_ms line,
    which is host time. Any other difference is digest/metric drift:
@@ -1309,7 +1299,8 @@ let perf () =
        perf: BENCH baseline drift — served bytes, digests or metrics \
        changed.\n\
        Inspect with: git diff -I '\"wall_ms\"' BENCH_faults.json \
-       BENCH_farm.json BENCH_chaos.json BENCH_control.json\n";
+       BENCH_farm.json BENCH_chaos.json BENCH_control.json \
+       BENCH_elide.json BENCH_certify.json\n";
     exit 1
   end
 

@@ -595,7 +595,7 @@ let flight seed duration out =
   | None ->
     missing := true;
     print_endline "no shed request in this run (try another seed)");
-  (match Telemetry.Trace.find_trace_with ~kind:"client.serve_stale" with
+  (match Telemetry.Trace.find_trace_with ~kind:"client.stale_served" with
   | Some tr -> export "stale" tr
   | None ->
     missing := true;
@@ -643,7 +643,7 @@ let faults seed crash losses replicas trace =
     print_newline ();
     List.iter
       (fun p ->
-        Printf.printf "fault trace (loss %.1f%%, %d replica(s)):\n"
+        Printf.printf "fault trace (loss %.1f%%, %d shard(s)):\n"
           p.Dvm.Availability.av_loss_pct p.Dvm.Availability.av_replicas;
         match p.Dvm.Availability.av_trace with
         | [] -> print_endline "  (no faults injected)"
@@ -1126,8 +1126,7 @@ let faults_cmd =
   let crash =
     Arg.(value & flag
          & info [ "crash" ]
-             ~doc:"crash the primary proxy at t=400ms for 2.5s (cache-cold \
-                   restart)")
+             ~doc:"crash shard 0 at t=400ms for 2.5s (cache-cold restart)")
   in
   let losses =
     Arg.(value & opt (list float) [ 0.0; 1.0; 5.0; 10.0 ]
@@ -1137,7 +1136,7 @@ let faults_cmd =
   let replicas =
     Arg.(value & opt (list int) [ 1; 2 ]
          & info [ "replicas" ] ~docv:"NS"
-             ~doc:"comma-separated proxy replica counts")
+             ~doc:"comma-separated proxy-farm shard counts")
   in
   let trace =
     Arg.(value & flag
@@ -1149,7 +1148,7 @@ let faults_cmd =
          "Inject deterministic faults (link loss, latency jitter, proxy \
           crash) into a simulated jlex startup and print availability: \
           startup latency, retries, failovers, and degraded classes per \
-          loss rate and replica count")
+          loss rate and shard count")
     Term.(const faults $ seed $ crash $ losses $ replicas $ trace)
 
 let farm_cmd =

@@ -1,51 +1,47 @@
 (* The availability experiment the paper's §5 replication argument
    calls for but never runs: application startup through the proxy
    under injected faults — link loss and jitter on the client's LAN,
-   and a primary-proxy crash mid-startup — at 1 and 2 replicas.
+   and a shard-0 crash mid-startup — at 1 and 2 proxies.
 
-   A single client fetches every class of a workload application
-   sequentially through a replica facade. Each fetch runs under a
-   timeout with bounded exponential-backoff retry; when the retry
-   budget for a class is exhausted the client gives up on it (in the
-   real client the error-propagation replacement class is served —
-   see Dvm.Client.resilient_provider) and moves on. Everything is
-   driven by one seeded fault plan, so a run is a pure function of
-   (seed, loss, replicas, scenario): byte-identical across repeats. *)
+   It runs on the same failover stack as the chaos harness: the N
+   proxies are one [Proxy.Farm] (ring failover, per-shard breakers)
+   and every attempt is one deadline-bound [Client.Session.fetch]
+   whose replies cross the lossy client LAN. A single client fetches
+   every class of the workload application sequentially; a [Failed]
+   attempt (deadline expired, reply lost, every shard unavailable) is
+   retried after a bounded exponential backoff, and a class that
+   exhausts its attempts is given up on (the real client would load
+   the §3.1 error-propagation replacement class in its place).
+   Everything is driven by one seeded fault plan, so a run is a pure
+   function of (seed, loss, proxies, scenario): byte-identical across
+   repeats. *)
 
 type scenario = {
   sc_seed : int;
-  sc_spec : Workloads.Appgen.spec;
-  sc_timeout_us : int; (* per-attempt timeout *)
-  sc_max_attempts : int;
-  sc_base_backoff_us : int;
-  sc_max_backoff_us : int;
-  sc_jitter_max_us : int;
-  (* Crash the primary at [fst] for [snd] µs; None = no crash. *)
+  (* Crash shard 0 at [fst] for [snd] µs; None = no crash. *)
   sc_crash_primary : (Simnet.Engine.time * Simnet.Engine.time) option;
-  (* Fraction of the crashed proxy's cache that survives the restart. *)
-  sc_cache_retained : float;
-  sc_wan_latency : Simnet.Engine.time;
 }
 
-let default_scenario =
-  {
-    sc_seed = 23;
-    sc_spec = Workloads.Apps.jlex;
-    sc_timeout_us = 500_000;
-    sc_max_attempts = 4;
-    sc_base_backoff_us = 100_000;
-    sc_max_backoff_us = 800_000;
-    sc_jitter_max_us = 5_000;
-    sc_crash_primary = None;
-    sc_cache_retained = 0.0;
-    sc_wan_latency = Simnet.Engine.ms 40;
-  }
+let default_scenario = { sc_seed = 23; sc_crash_primary = None }
 
 let crash_scenario =
   {
     default_scenario with
     sc_crash_primary = Some (Simnet.Engine.ms 400, Simnet.Engine.ms 2500);
   }
+
+let spec = Workloads.Apps.jlex
+let attempt_timeout_us = 500_000
+let max_attempts = 4
+let base_backoff_us = 100_000
+let max_backoff_us = 800_000
+let jitter_max_us = 5_000
+let wan_latency = Simnet.Engine.ms 40
+
+let parameters =
+  Printf.sprintf "Per-attempt timeout %d ms, %d attempts, backoff %d..%d ms"
+    (attempt_timeout_us / 1000) max_attempts (base_backoff_us / 1000)
+    (max_backoff_us / 1000)
 
 type point = {
   av_loss_pct : float;
@@ -55,53 +51,53 @@ type point = {
   av_requests : int; (* attempts issued *)
   av_retries : int;
   av_drops : int; (* transfers lost on the client LAN *)
-  av_failovers : int; (* requests served by a non-primary *)
+  av_failovers : int; (* requests served by a non-owner shard *)
   av_degraded : int; (* classes that exhausted the retry budget *)
   av_trace : string list; (* the fault plan's injected-fault trace *)
 }
 
-let backoff_us sc ~attempt =
-  min (sc.sc_base_backoff_us * (1 lsl min 20 (attempt - 1))) sc.sc_max_backoff_us
+let backoff_us ~attempt =
+  min (base_backoff_us * (1 lsl min 20 (attempt - 1))) max_backoff_us
 
 let run ?slo ?(scenario = default_scenario) ~loss_pct ~replicas () =
-  let sc = scenario in
-  let slo_record outcome now_us =
-    match slo with
-    | None -> ()
-    | Some s -> Telemetry.Slo.record s ~now_us outcome
-  in
-  let app = Workloads.Apps.build_small sc.sc_spec in
+  let app = Workloads.Apps.build_small spec in
   let engine = Simnet.Engine.create () in
-  let plan = Simnet.Fault.create ~seed:sc.sc_seed in
+  let plan = Simnet.Fault.create ~seed:scenario.sc_seed in
   let lan = Simnet.Link.ethernet_10mb engine in
   Simnet.Link.set_faults lan ~plan ~drop_prob:(loss_pct /. 100.0)
-    ~jitter_max_us:sc.sc_jitter_max_us ();
+    ~jitter_max_us ();
   let oracle =
     Verifier.Oracle.of_classes
       (Jvm.Bootlib.boot_classes () @ app.Workloads.Appgen.classes)
   in
-  let pool =
+  let shards =
     Array.init replicas (fun _ ->
         let services = Experiment.standard_services ~oracle () in
         Proxy.create engine
           ~origin:(Workloads.Appgen.origin app)
-          ~origin_latency:(fun _ -> sc.sc_wan_latency)
+          ~origin_latency:(fun _ -> wan_latency)
           ~filters:services.Experiment.filters ())
   in
-  let facade = Proxy.Replica.create engine pool in
-  (match sc.sc_crash_primary with
+  let farm = Proxy.Farm.create engine shards in
+  (match scenario.sc_crash_primary with
   | None -> ()
   | Some (at, down_for) ->
-    Simnet.Fault.schedule_host_faults plan pool.(0).Proxy.host
+    Simnet.Fault.schedule_host_faults plan shards.(0).Proxy.host
       ~on_restart:(fun () ->
-        (* The restarted primary comes back cache-cold (or nearly):
-           the measurable price of failing back. *)
-        Proxy.Cache.drop_fraction pool.(0).Proxy.cache
-          ~fraction:(1.0 -. sc.sc_cache_retained))
+        (* The restarted shard comes back cache-cold: the measurable
+           price of failing back. *)
+        Proxy.Cache.drop_fraction shards.(0).Proxy.cache ~fraction:1.0)
       ~schedule:[ (at, down_for) ]
       ());
+  (* The response crosses the client's lossy LAN; a drop is
+     discovered by the session's deadline. *)
+  let session =
+    Client.Session.create
+      ~budget_us:(Int64.of_int attempt_timeout_us)
+      ~deliver:(fun ~bytes k -> Simnet.Link.transfer lan ~bytes k)
+      ?slo engine farm
+  in
   let classes = List.map fst (Workloads.Appgen.class_bytes app) in
-  let requests = ref 0 in
   let retries = ref 0 in
   let degraded = ref 0 in
   let finished_at = ref 0L in
@@ -109,51 +105,20 @@ let run ?slo ?(scenario = default_scenario) ~loss_pct ~replicas () =
     | [] -> finished_at := Simnet.Engine.now engine
     | cls :: rest ->
       let rec attempt n =
-        incr requests;
-        let started = Simnet.Engine.now engine in
-        let settled = ref false in
-        (* One failure path for timeout, loss and Unavailable; the
-           [settled] flag makes late replies and stale timeouts
-           harmless. *)
-        let fail_attempt () =
-          if not !settled then begin
-            settled := true;
-            if n >= sc.sc_max_attempts then begin
-              incr degraded;
-              Telemetry.Global.incr "client.degraded";
-              slo_record Telemetry.Slo.Failed (Simnet.Engine.now engine);
-              fetch_next rest
-            end
-            else begin
-              incr retries;
-              Telemetry.Global.incr "client.retries";
-              let b = backoff_us sc ~attempt:n in
-              Telemetry.Global.observe "client.retry_backoff_us"
-                (Int64.of_int b);
-              Simnet.Engine.schedule engine ~delay:(Int64.of_int b) (fun () ->
-                  attempt (n + 1))
-            end
-          end
-        in
-        Proxy.Replica.request facade ~cls (fun reply ->
-            match reply with
-            | Proxy.Bytes b ->
-              (* The response crosses the client's (lossy) LAN; a drop
-                 is discovered by the timeout. *)
-              Simnet.Link.transfer lan ~bytes:(String.length b) (fun () ->
-                  if not !settled then begin
-                    settled := true;
-                    Telemetry.Global.observe "client.request_us"
-                      (Int64.sub (Simnet.Engine.now engine) started);
-                    slo_record
-                      (Telemetry.Slo.Fresh (String.length b))
-                      (Simnet.Engine.now engine);
-                    fetch_next rest
-                  end)
-            | Proxy.Not_found | Proxy.Unavailable | Proxy.Overloaded ->
-              fail_attempt ());
-        Simnet.Engine.schedule engine ~delay:(Int64.of_int sc.sc_timeout_us)
-          fail_attempt
+        Client.Session.fetch session ~cls (function
+          | Client.Session.Fresh _ | Client.Session.Stale _ -> fetch_next rest
+          | Client.Session.Failed when n >= max_attempts ->
+            incr degraded;
+            Telemetry.Global.incr "client.degraded";
+            fetch_next rest
+          | Client.Session.Failed ->
+            incr retries;
+            Telemetry.Global.incr "client.retries";
+            let b = backoff_us ~attempt:n in
+            Telemetry.Global.observe "client.retry_backoff_us"
+              (Int64.of_int b);
+            Simnet.Engine.schedule engine ~delay:(Int64.of_int b) (fun () ->
+                attempt (n + 1)))
       in
       attempt 1
   in
@@ -168,10 +133,10 @@ let run ?slo ?(scenario = default_scenario) ~loss_pct ~replicas () =
     av_replicas = replicas;
     av_classes = List.length classes;
     av_startup_us = !finished_at;
-    av_requests = !requests;
+    av_requests = session.Client.Session.fetches;
     av_retries = !retries;
     av_drops = lan.Simnet.Link.drops;
-    av_failovers = facade.Proxy.Replica.failovers;
+    av_failovers = farm.Proxy.Farm.failovers;
     av_degraded = !degraded;
     av_trace = Simnet.Fault.trace plan;
   }
@@ -186,7 +151,7 @@ let sweep ?slo ?scenario ~loss_pcts ~replica_counts () =
 
 (* Render a sweep as the bench/CLI table. *)
 let print_table points =
-  Printf.printf "%9s %9s %12s %9s %9s %9s %10s %9s\n" "Loss" "Replicas"
+  Printf.printf "%9s %9s %12s %9s %9s %9s %10s %9s\n" "Loss" "Shards"
     "Startup(s)" "Requests" "Retries" "Drops" "Failovers" "Degraded";
   List.iter
     (fun p ->

@@ -1,30 +1,30 @@
 (** Availability under injected faults (§5's replication argument,
-    evaluated): application startup through 1..N replicated proxies
-    with link loss, latency jitter, and an optional primary crash
-    mid-startup. Fully deterministic for a fixed scenario seed. *)
+    evaluated): application startup through a farm of 1..N proxies
+    with link loss, latency jitter, and an optional shard-0 crash
+    mid-startup. Every attempt is one {!Client.Session.fetch} against
+    a {!Proxy.Farm}: the farm fails over along its hash ring and
+    breakers, the session enforces the per-attempt deadline over the
+    lossy client LAN, and this module only retries [Failed] attempts
+    with bounded exponential backoff. Fully deterministic for a fixed
+    scenario seed. *)
 
 type scenario = {
   sc_seed : int;
-  sc_spec : Workloads.Appgen.spec;
-  sc_timeout_us : int;  (** per-attempt timeout *)
-  sc_max_attempts : int;
-  sc_base_backoff_us : int;
-  sc_max_backoff_us : int;
-  sc_jitter_max_us : int;
   sc_crash_primary : (Simnet.Engine.time * Simnet.Engine.time) option;
-      (** crash the primary at [fst] for [snd] µs *)
-  sc_cache_retained : float;
-      (** fraction of the crashed proxy's cache surviving restart *)
-  sc_wan_latency : Simnet.Engine.time;
+      (** crash shard 0 at [fst] for [snd] µs, restarting cache-cold *)
 }
 
 val default_scenario : scenario
-(** jlex (small build), 500 ms timeout, 4 attempts, 100 ms base
-    backoff, 5 ms jitter, no crash. *)
+(** Seed 23, no crash. *)
 
 val crash_scenario : scenario
-(** [default_scenario] plus a primary crash at t=400 ms lasting
-    2.5 s with a cold-cache restart. *)
+(** [default_scenario] plus a shard-0 crash at t=400 ms lasting
+    2.5 s with a cache-cold restart. *)
+
+val parameters : string
+(** The fixed knobs, for report headers: jlex (small build), 500 ms
+    per-attempt deadline, 4 attempts, 100..800 ms backoff; the LAN
+    adds up to 5 ms jitter and the origin is 40 ms away. *)
 
 type point = {
   av_loss_pct : float;
@@ -34,7 +34,8 @@ type point = {
   av_requests : int;  (** attempts issued *)
   av_retries : int;
   av_drops : int;  (** transfers lost on the client LAN *)
-  av_failovers : int;  (** requests served by a non-primary *)
+  av_failovers : int;
+      (** requests served by a non-owner shard ([Farm.failovers]) *)
   av_degraded : int;  (** classes that exhausted the retry budget *)
   av_trace : string list;  (** the fault plan's injected-fault trace *)
 }
@@ -46,9 +47,10 @@ val run :
   replicas:int ->
   unit ->
   point
-(** [slo] receives one outcome per settled class fetch (served bytes
-    as fresh, retry-budget exhaustion as failed) on the run's virtual
-    clock, so a sweep can be summarized by the SLO monitor. *)
+(** [replicas] is the farm's shard count. [slo] is the session's SLO
+    feed: one outcome per attempt (served bytes as fresh, a failed
+    attempt as failed) on the run's virtual clock, so a sweep can be
+    summarized by the SLO monitor. *)
 
 val sweep :
   ?slo:Telemetry.Slo.t ->

@@ -10,8 +10,9 @@
 
     A bounded concurrent-request queue adds a deadline-independent
     shed ([Shed_queue]); its default limit is [max_int], so admission
-    is passive until a request actually carries a deadline. Counters:
-    [admission.shed_queue], [admission.shed_deadline]. *)
+    is passive until a request actually carries a deadline. The node
+    reports each shed as the [admission.shed_queue] /
+    [admission.shed_deadline] counter and reason event. *)
 
 type verdict = Admit | Shed_queue | Shed_deadline
 

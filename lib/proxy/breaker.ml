@@ -112,8 +112,7 @@ let trip t ~now =
      else doubled);
   t.probe_successes <- 0;
   t.probe_inflight <- 0;
-  t.trips <- t.trips + 1;
-  Telemetry.Global.incr "breaker.trips"
+  t.trips <- t.trips + 1
 
 let record_failure t ~now =
   refresh t ~now;

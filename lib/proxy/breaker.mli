@@ -10,7 +10,8 @@
     cooldown it admits probes in Half_open, where
     [success_threshold] successes close it and one failure re-opens
     it with the cooldown doubled (capped at [max_cooldown_us]).
-    Counter: [breaker.trips]. *)
+    The breaker counts its own {!trips}; the farm, which owns the
+    routing decision, reports them as the [breaker.trips] counter. *)
 
 type state = Closed | Open | Half_open
 

@@ -317,21 +317,16 @@ let leased_leader t =
    counter; the line lands on the trace (and through it the flight
    recorder) when the control root span is live, directly on the
    flight recorder otherwise. *)
-let note t m kind detail =
-  Telemetry.Global.incr kind;
-  if Telemetry.Trace.live t.trace_ctx then
-    Telemetry.Trace.event t.trace_ctx ~node:m.m_name ~kind detail
-  else
-    Telemetry.Flight.note
-      ~at:(Simnet.Engine.now t.engine)
-      ~node:m.m_name
-      (Printf.sprintf "%s %s" kind detail)
+let note t m kind fmt =
+  Telemetry.decision
+    ~at:(Simnet.Engine.now t.engine)
+    t.trace_ctx ~node:m.m_name kind fmt
 
 let set_term t m term =
   if term > m.m_term then begin
     m.m_term <- term;
     m.m_voted_for <- None;
-    note t m "control.term_bump" (Printf.sprintf "term %d" term)
+    note t m "control.term_bump" "term %d" term
   end
 
 (* Role-only demotion (the term, if newer, is adopted separately). *)
@@ -340,7 +335,7 @@ let demote t m =
     m.m_role <- Follower;
     t.stepdowns <- t.stepdowns + 1;
     note t m "control.stepdown"
-      (Printf.sprintf "deposed at term %d" m.m_term)
+      "deposed at term %d" m.m_term
   end
 
 let step_down t m ~now ~term =
@@ -356,7 +351,7 @@ let renew_serving t m ~now =
   if not m.m_serving then begin
     m.m_serving <- true;
     note t m "control.lease_grant"
-      (Printf.sprintf "serving lease until %Ld" m.m_lease_until)
+      "serving lease until %Ld" m.m_lease_until
   end
 
 let apply_entry t m e =
@@ -426,8 +421,8 @@ let maybe_compact t m =
       m.m_compactions <- m.m_compactions + 1;
       t.compactions <- t.compactions + 1;
       note t m "control.snapshot_compact"
-        (Printf.sprintf "folded %d entries through %d at v%d" folded_n
-           bound m.m_snap.s_version)
+        "folded %d entries through %d at v%d" folded_n
+           bound m.m_snap.s_version
     end
   end
 
@@ -461,8 +456,8 @@ let install_snapshot t p (s : snapshot) =
   p.m_snapshot_installs <- p.m_snapshot_installs + 1;
   t.snapshot_installs <- t.snapshot_installs + 1;
   note t p "control.snapshot_install"
-    (Printf.sprintf "through %d at v%d (%d pending)" s.s_index s.s_version
-       (List.length s.s_pending))
+    "through %d at v%d (%d pending)" s.s_index s.s_version
+       (List.length s.s_pending)
 
 let term_at m idx =
   if idx <= 0 then 0
@@ -628,7 +623,7 @@ and handle t p msg =
       p.m_voted_for <- Some v_cand;
       p.m_heard_at <- now;
       note t p "control.vote"
-        (Printf.sprintf "granted m%d at term %d" v_cand p.m_term)
+        "granted m%d at term %d" v_cand p.m_term
     end;
     send t ~src:p ~dst:(member t v_cand) ~bytes:t.hb_bytes
       (Vote_reply
@@ -725,7 +720,7 @@ and on_append t p
       p.m_resyncs <- p.m_resyncs + 1;
       Telemetry.Global.incr "control.resyncs";
       note t p "control.resync"
-        (Printf.sprintf "caught up through %d" p.m_applied)
+        "caught up through %d" p.m_applied
     end;
     (* The serving lease renews only under a live leadership lease,
        and only once this member holds everything the leader does —
@@ -805,8 +800,8 @@ and become_leader t m ~now =
     t.last_leader <- Some m.m_id
   end;
   note t m "control.election_win"
-    (Printf.sprintf "term %d with %d votes" m.m_term
-       (List.length m.m_votes_got));
+    "term %d with %d votes" m.m_term
+       (List.length m.m_votes_got);
   (* Entries a fallen leader already committed need no re-drive; walk
      the committed prefix first so the fold can catch up and only the
      genuinely uncommitted suffix is re-stamped. *)
@@ -822,7 +817,7 @@ and become_leader t m ~now =
         r.l_fence_ok <- false;
         t.redrives <- t.redrives + 1;
         note t m "control.redrive"
-          (Printf.sprintf "entry %d under term %d" r.l_index m.m_term);
+          "entry %d under term %d" r.l_index m.m_term;
         arm_backstop t m r
       end)
     m.m_log;
@@ -836,7 +831,7 @@ and start_election t m ~now =
   m.m_lease_floor <- m.m_promise_until;
   m.m_heard_at <- now;
   note t m "control.vote"
-    (Printf.sprintf "granted m%d at term %d (self)" m.m_id m.m_term);
+    "granted m%d at term %d (self)" m.m_id m.m_term;
   Array.iter
     (fun p ->
       if p.m_id <> m.m_id then
@@ -893,7 +888,7 @@ and step t m ~now =
     if m.m_serving && Int64.compare now m.m_lease_until >= 0 then begin
       m.m_serving <- false;
       note t m "control.lease_expire"
-        (Printf.sprintf "serving lease lapsed at term %d" m.m_term)
+        "serving lease lapsed at term %d" m.m_term
     end;
     match m.m_role with
     | Leader ->

@@ -8,8 +8,10 @@
    virtual nodes so key ownership stays balanced at small shard
    counts, and failover walks the ring clockwise to the next distinct
    live shard — exactly the preference order consistent hashing gives
-   for free — reusing the per-request [on_fail] health machinery the
-   replica facade introduced.
+   for free — driven by each node's per-request [on_fail] hook, with a
+   per-shard circuit breaker deciding which shards are tried at all.
+   This is the proxy tier's one failover mechanism: the paper's §5
+   answer to the single point of failure.
 
    Determinism: ownership is a pure function of (key, shard count,
    vnodes), dispatch does no random choice and touches no hash-table
@@ -24,7 +26,10 @@ type t = {
   health : bool array; (* last observed per-shard state, for the console *)
   breakers : Breaker.t array; (* per-shard circuit breaker, ruling routing *)
   mutable requests : int;
-  mutable failovers : int; (* requests served by a non-owner shard *)
+  mutable failovers : int;
+  (* requests served by a non-owner shard after the owner failed at
+     dispatch or in flight; a walk that only skipped open breakers is
+     counted in [breaker_skips] alone *)
   mutable unavailable : int; (* requests no shard could serve *)
   mutable overloaded : int; (* requests a shard shed at admission *)
   mutable breaker_skips : int; (* dispatch candidates skipped open-breaker *)
@@ -111,6 +116,21 @@ let health t =
 
 let breaker t i = t.breakers.(i)
 
+(* The edge's name in distributed traces — the routing tier is one
+   logical hop in front of the shards. *)
+let edge = "edge"
+
+(* Feed shard [s]'s breaker a failure. A trip it causes is a routing
+   decision worth explaining, attached to the request (if any) whose
+   failure tipped the window. *)
+let fail_shard ?(trace = Telemetry.Trace.none) t s ~now ~why =
+  let b = t.breakers.(s) in
+  let before = Breaker.trips b in
+  Breaker.record_failure b ~now;
+  if Breaker.trips b > before then
+    Telemetry.decision trace ~node:edge "breaker.trips"
+      "shard %d breaker opened (%s)" s why
+
 (* Health with hysteresis: each probe feeds the raw host state through
    the shard's breaker and reports what routing will actually do. A
    flapping host (up on one probe, down on the next) flips the raw
@@ -127,7 +147,7 @@ let probe t =
       | Breaker.Closed | Breaker.Half_open ->
         let up = Simnet.Host.is_up s.Node.host in
         if up then Breaker.record_success b ~now
-        else Breaker.record_failure b ~now;
+        else fail_shard t i ~now ~why:"down at probe";
         t.health.(i) <- up;
         up && Breaker.state b ~now <> Breaker.Open)
     t.shards
@@ -149,10 +169,6 @@ let rec drop n = function
   | [] -> []
   | _ :: rest -> drop (n - 1) rest
 
-(* The edge's name in distributed traces — the routing tier is one
-   logical hop in front of the shards. *)
-let edge = "edge"
-
 let request ?deadline ?(offset = 0) ?(trace = Telemetry.Trace.none) t ~cls k =
   t.requests <- t.requests + 1;
   let sp =
@@ -167,15 +183,6 @@ let request ?deadline ?(offset = 0) ?(trace = Telemetry.Trace.none) t ~cls k =
     Telemetry.Trace.finish sp;
     k reply
   in
-  (* A breaker trip is a routing decision worth explaining: attach it
-     to the request whose failure tipped the window. *)
-  let record_failure_traced ~shard b ~now ~why =
-    let before = Breaker.trips b in
-    Breaker.record_failure b ~now;
-    if Breaker.trips b > before then
-      Telemetry.Trace.event tctx ~node:edge ~kind:"breaker.trip"
-        (Printf.sprintf "shard %d breaker opened (%s)" shard why)
-  in
   (* Walk the key's preference order; a shard whose breaker is open is
      skipped without even probing its host, a shard down at dispatch
      (or crashing with the request in flight, via [on_fail]) feeds its
@@ -189,23 +196,21 @@ let request ?deadline ?(offset = 0) ?(trace = Telemetry.Trace.none) t ~cls k =
   let rec dispatch ~first = function
     | [] ->
       t.unavailable <- t.unavailable + 1;
-      Telemetry.Global.incr "farm.unavailable";
-      Telemetry.Trace.event tctx ~node:edge ~kind:"farm.unavailable"
-        (Printf.sprintf "class %s: no live shard on the ring" cls);
+      Telemetry.decision tctx ~node:edge "farm.unavailable"
+        "class %s: no live shard on the ring" cls;
       Simnet.Engine.schedule t.engine ~delay:0L (fun () -> k Node.Unavailable)
     | s :: rest ->
       let p = t.shards.(s) in
       let b = t.breakers.(s) in
       if not (Breaker.allow b ~now:(Simnet.Engine.now t.engine)) then begin
         t.breaker_skips <- t.breaker_skips + 1;
-        Telemetry.Global.incr "farm.breaker_skips";
-        Telemetry.Trace.event tctx ~node:edge ~kind:"farm.breaker_skip"
-          (Printf.sprintf "shard %d skipped: breaker open" s);
+        Telemetry.decision tctx ~node:edge "farm.breaker_skips"
+          "shard %d skipped: breaker open" s;
         dispatch ~first rest
       end
       else if not (Simnet.Host.is_up p.Node.host) then begin
         t.health.(s) <- false;
-        record_failure_traced ~shard:s b
+        fail_shard ~trace:tctx t s
           ~now:(Simnet.Engine.now t.engine)
           ~why:"down at dispatch";
         dispatch ~first:false rest
@@ -214,9 +219,8 @@ let request ?deadline ?(offset = 0) ?(trace = Telemetry.Trace.none) t ~cls k =
         t.health.(s) <- true;
         if not first then begin
           t.failovers <- t.failovers + 1;
-          Telemetry.Global.incr "farm.failovers";
-          Telemetry.Trace.event tctx ~node:edge ~kind:"farm.failover"
-            (Printf.sprintf "class %s rerouted to shard %d" cls s)
+          Telemetry.decision tctx ~node:edge "farm.failovers"
+            "class %s rerouted to shard %d" cls s
         end;
         Node.request p ?deadline ~trace:tctx ~cls
           (fun reply ->
@@ -228,7 +232,7 @@ let request ?deadline ?(offset = 0) ?(trace = Telemetry.Trace.none) t ~cls k =
             k reply)
           ~on_fail:(fun () ->
             t.health.(s) <- false;
-            record_failure_traced ~shard:s b
+            fail_shard ~trace:tctx t s
               ~now:(Simnet.Engine.now t.engine)
               ~why:"crashed in flight";
             dispatch ~first:false rest)

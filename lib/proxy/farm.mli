@@ -5,7 +5,9 @@
     shard is a full {!Node.t} with its own host, CPU accounting and L1
     cache; an optional shared L2 is wired per-shard at
     {!Node.create}. Failover walks the ring to the next distinct live
-    shard. Counters: [farm.failovers], [farm.unavailable]. *)
+    shard. Decisions (counter and same-named reason event):
+    [farm.failovers], [farm.breaker_skips], [farm.unavailable],
+    [breaker.trips]. *)
 
 type t = {
   engine : Simnet.Engine.t;
@@ -14,7 +16,10 @@ type t = {
   health : bool array;  (** last observed per-shard state *)
   breakers : Breaker.t array;  (** per-shard circuit breaker, ruling routing *)
   mutable requests : int;
-  mutable failovers : int;  (** requests served by a non-owner shard *)
+  mutable failovers : int;
+      (** requests served by a non-owner shard after the owner failed
+          at dispatch or in flight; a walk that only skipped open
+          breakers is counted in [breaker_skips] alone *)
   mutable unavailable : int;  (** requests no shard could serve *)
   mutable overloaded : int;  (** requests a shard shed at admission *)
   mutable breaker_skips : int;  (** dispatch candidates skipped open-breaker *)

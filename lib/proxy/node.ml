@@ -175,7 +175,7 @@ let l2_transfer_cost t ~bytes =
    simulated time, when the proxy has the response ready to put on the
    client's wire (the caller models the client-side link). [on_fail]
    fires instead if the proxy host is down or crashes while the
-   request is in flight — the hook the replica facade fails over on.
+   request is in flight — the hook the farm fails over on.
 
    Misses are single-flight: the first request for a key becomes the
    leader and runs the pipeline; concurrent requests for the same key
@@ -216,18 +216,12 @@ let rec request ?on_fail ?deadline ?(trace = Telemetry.Trace.none) t ~cls k =
        out bytes rewritten under a revoked policy, so refuse and let
        the farm fail over — the same path as a crashed host. *)
     t.fenced_rejects <- t.fenced_rejects + 1;
-    if Telemetry.Global.on () then Telemetry.Global.incr "control.fenced_rejects";
-    (* mirrored 1:1 with the counter, like the control plane's own
-       reason events; off-trace the line still reaches the recorder *)
-    (if Telemetry.Trace.live tctx then
-       Telemetry.Trace.event tctx ~node ~kind:"control.fenced_rejects"
-         (Printf.sprintf "class %s: shard fenced, failing over" cls)
-     else
-       Telemetry.Flight.note
-         ~at:(Simnet.Engine.now t.engine)
-         ~node
-         (Printf.sprintf "control.fenced_rejects class %s: shard fenced"
-            cls));
+    (* like the control plane's own decisions, off-trace the line
+       still reaches the flight recorder *)
+    Telemetry.decision
+      ~at:(Simnet.Engine.now t.engine)
+      tctx ~node "control.fenced_rejects"
+      "class %s: shard fenced, failing over" cls;
     match on_fail with
     | Some f -> Simnet.Engine.schedule t.engine ~delay:0L f
     | None -> Simnet.Engine.schedule t.engine ~delay:0L (fun () -> k Unavailable)
@@ -252,15 +246,15 @@ let rec request ?on_fail ?deadline ?(trace = Telemetry.Trace.none) t ~cls k =
       if Telemetry.Global.on () then Telemetry.Global.incr "proxy.overloaded";
       (* The reason event carries the shed's arithmetic, so a trace
          explains the 503 without correlating logs. *)
-      Telemetry.Trace.event tctx ~node
-        ~kind:
-          (match verdict with
-          | Admission.Shed_queue -> "admission.shed_queue"
-          | _ -> "admission.shed_deadline")
-        (Printf.sprintf "class %s: est %Ldus, deadline %s" cls est_us
-           (match deadline with
-           | Some d -> Printf.sprintf "%Ldus" d
-           | None -> "none"));
+      Telemetry.decision tctx ~node
+        (match verdict with
+        | Admission.Shed_queue -> "admission.shed_queue"
+        | _ -> "admission.shed_deadline")
+        "class %s: est %Ldus, deadline %a" cls est_us
+        (fun () -> function
+          | Some d -> Printf.sprintf "%Ldus" d
+          | None -> "none")
+        deadline;
       Simnet.Engine.schedule t.engine ~delay:0L (fun () -> k Overloaded)
     | Admit ->
       (* Balance the admit exactly once however the request settles.
@@ -311,10 +305,9 @@ and request_admitted ?on_fail ~trace t ~cls k =
       | Some waiters ->
         (* Join the pipeline run already in flight for this key. *)
         t.coalesced <- t.coalesced + 1;
-        if Telemetry.Global.on () then Telemetry.Global.incr "proxy.coalesced";
-        Telemetry.Trace.event trace ~node ~kind:"proxy.coalesce.join"
-          (Printf.sprintf "class %s: joined %d in flight" cls
-             (List.length !waiters + 1));
+        Telemetry.decision trace ~node "proxy.coalesced"
+          "class %s: joined %d in flight" cls
+          (List.length !waiters + 1);
         waiters := (k, on_fail) :: !waiters
       | None -> (
         match
@@ -325,10 +318,8 @@ and request_admitted ?on_fail ~trace t ~cls k =
         | Some bytes ->
           (* Shared-tier hit: pay the peer transfer, rewarm the L1. *)
           t.l2_hits <- t.l2_hits + 1;
-          if Telemetry.Global.on () then Telemetry.Global.incr "proxy.l2_hits";
-          Telemetry.Trace.event trace ~node ~kind:"proxy.l2_hit"
-            (Printf.sprintf "class %s: %d bytes from shared tier" cls
-               (String.length bytes));
+          Telemetry.decision trace ~node "proxy.l2_hits"
+            "class %s: %d bytes from shared tier" cls (String.length bytes);
           let cost = l2_transfer_cost t ~bytes:(String.length bytes) in
           t.cpu_us <- Int64.add t.cpu_us cost;
           Simnet.Host.compute t.host ?on_fail ~cost_us:cost (fun () ->
@@ -455,75 +446,3 @@ let provider t : Jvm.Classreg.provider =
   match request_sync t ~cls with
   | Bytes b -> Some b
   | Not_found | Unavailable | Overloaded -> None
-
-type proxy = t
-
-(* Replicated proxies behind one facade (§5's availability answer to
-   the single-point-of-failure critique): requests prefer the primary
-   (replica 0) and fail over, in order, to the first live secondary
-   when the preferred replica is down at dispatch or crashes with the
-   request in flight. Health is probed against the replica host at
-   every dispatch, so a restarted primary takes traffic back
-   immediately — but cache-cold, which is the measurable price of
-   failover the paper's §5 argument predicts. *)
-module Replica = struct
-  type t = {
-    engine : Simnet.Engine.t;
-    pool : proxy array;
-    health : bool array; (* last observed state, for the console *)
-    mutable requests : int;
-    mutable failovers : int; (* requests served by a non-primary *)
-    mutable unavailable : int; (* requests no replica could serve *)
-  }
-
-  let create engine pool =
-    if Array.length pool = 0 then invalid_arg "Replica.create: empty pool";
-    {
-      engine;
-      pool;
-      health = Array.map (fun p -> Simnet.Host.is_up p.host) pool;
-      requests = 0;
-      failovers = 0;
-      unavailable = 0;
-    }
-
-  let size t = Array.length t.pool
-  let replica t i = t.pool.(i)
-
-  let health t =
-    Array.iteri (fun i p -> t.health.(i) <- Simnet.Host.is_up p.host) t.pool;
-    Array.copy t.health
-
-  let request t ~cls k =
-    t.requests <- t.requests + 1;
-    let n = Array.length t.pool in
-    (* Try replicas starting from the primary; [idx] is the next
-       candidate. A failed candidate is marked unhealthy and the next
-       one pays the failover. *)
-    let rec dispatch idx =
-      if idx >= n then begin
-        t.unavailable <- t.unavailable + 1;
-        Telemetry.Global.incr "proxy.unavailable";
-        Simnet.Engine.schedule t.engine ~delay:0L (fun () -> k Unavailable)
-      end
-      else begin
-        let p = t.pool.(idx) in
-        if not (Simnet.Host.is_up p.host) then begin
-          t.health.(idx) <- false;
-          dispatch (idx + 1)
-        end
-        else begin
-          t.health.(idx) <- true;
-          if idx > 0 then begin
-            t.failovers <- t.failovers + 1;
-            Telemetry.Global.incr "proxy.failovers"
-          end;
-          request p ~cls k ~on_fail:(fun () ->
-              (* Crashed with the request in flight: fail over. *)
-              t.health.(idx) <- false;
-              dispatch (idx + 1))
-        end
-      end
-    in
-    dispatch 0
-end

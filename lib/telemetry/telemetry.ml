@@ -644,3 +644,17 @@ end
 module Trace = Trace
 module Flight = Flight
 module Slo = Slo
+
+(* The one call every decision site makes: bump counter [kind] and
+   attach reason event [kind], so a counter and its event cannot drift
+   apart. The detail is formatted only when a line is written — on a
+   live trace, or on the flight recorder when [at] asks for an
+   untraced decision to land there anyway. *)
+let decision ?at ctx ~node kind fmt =
+  Global.incr kind;
+  if Trace.live ctx then Printf.ksprintf (Trace.event ctx ~node ~kind) fmt
+  else
+    match at with
+    | Some at ->
+      Printf.ksprintf (fun d -> Flight.note ~at ~node (kind ^ " " ^ d)) fmt
+    | None -> Printf.ikfprintf ignore () fmt

@@ -185,3 +185,18 @@ end
 module Trace : module type of Trace
 module Flight : module type of Flight
 module Slo : module type of Slo
+
+val decision :
+  ?at:int64 ->
+  Trace.ctx ->
+  node:string ->
+  string ->
+  ('a, unit, string, unit) format4 ->
+  'a
+(** [decision ctx ~node kind fmt ...] records one decision: it bumps
+    the default registry's counter [kind] and attaches a reason event
+    of the same [kind] to [ctx], with the detail formatted from [fmt].
+    Every decision site goes through here, so each event count equals
+    its same-named counter by construction. On a dead [ctx] the detail
+    is not formatted, unless [at] (virtual µs) sends the line to the
+    {!Flight} recorder as ["<kind> <detail>"]. *)

@@ -57,7 +57,7 @@ let test_tree_basics () =
       check Alcotest.bool "root ctx live" true (Trace.live ctx);
       clock := 10L;
       let child = Trace.start ctx ~node:"edge" "route" in
-      Trace.event (Trace.ctx_of child) ~node:"edge" ~kind:"farm.failover"
+      Trace.event (Trace.ctx_of child) ~node:"edge" ~kind:"farm.failovers"
         "rerouted";
       clock := 25L;
       Trace.finish child;
@@ -79,7 +79,7 @@ let test_tree_basics () =
         | l -> Alcotest.failf "expected 2 spans, got %d" (List.length l));
         (match Trace.events_of tr with
         | [ e ] ->
-          check Alcotest.string "event kind" "farm.failover" e.Trace.e_kind
+          check Alcotest.string "event kind" "farm.failovers" e.Trace.e_kind
         | l -> Alcotest.failf "expected 1 event, got %d" (List.length l));
         let txt = Trace.render tr in
         check Alcotest.bool "render shows spans" true
@@ -222,22 +222,22 @@ let run_traced_chaos () =
     ~finally:(fun () -> Telemetry.disable Telemetry.default)
     (fun () -> Dvm.Chaos.run chaos_cfg)
 
-(* Reason-event kind <-> telemetry counter, 1:1. A decision that bumps
-   the counter without leaving a trace event (or vice versa) breaks
-   the books. *)
+(* Reason-event kind = telemetry counter name, 1:1. A decision that
+   bumps the counter without leaving a trace event (or vice versa)
+   breaks the books. *)
 let decision_pairs =
   [
-    ("admission.shed_deadline", "admission.shed_deadline");
-    ("admission.shed_queue", "admission.shed_queue");
-    ("breaker.trip", "breaker.trips");
-    ("farm.failover", "farm.failovers");
-    ("farm.breaker_skip", "farm.breaker_skips");
-    ("farm.unavailable", "farm.unavailable");
-    ("proxy.coalesce.join", "proxy.coalesced");
-    ("proxy.l2_hit", "proxy.l2_hits");
-    ("client.hedge", "client.hedges");
-    ("client.hedge_win", "client.hedge_wins");
-    ("client.serve_stale", "client.stale_served");
+    "admission.shed_deadline";
+    "admission.shed_queue";
+    "breaker.trips";
+    "farm.failovers";
+    "farm.breaker_skips";
+    "farm.unavailable";
+    "proxy.coalesced";
+    "proxy.l2_hits";
+    "client.hedges";
+    "client.hedge_wins";
+    "client.stale_served";
   ]
 
 let test_completeness () =
@@ -250,14 +250,10 @@ let test_completeness () =
   check Alcotest.int "no trace records dropped" 0 (Trace.dropped ());
   let kinds = Trace.event_kind_counts () in
   List.iter
-    (fun (kind, counter) ->
+    (fun kind ->
       let ev = Option.value ~default:0 (List.assoc_opt kind kinds) in
-      let c =
-        Int64.to_int (Telemetry.counter_value Telemetry.default counter)
-      in
-      check Alcotest.int
-        (Printf.sprintf "%s events = %s counter" kind counter)
-        c ev)
+      let c = Int64.to_int (Telemetry.counter_value Telemetry.default kind) in
+      check Alcotest.int (kind ^ " events = counter") c ev)
     decision_pairs;
   (* no orphans: every event hangs off a span of its own trace *)
   let span_ids = Hashtbl.create 1024 in
@@ -296,7 +292,7 @@ let test_acceptance_traces () =
       assert_balanced (kind ^ " json export") (Trace.export_json tr)
   in
   check_trace "admission.shed_deadline";
-  check_trace "client.serve_stale"
+  check_trace "client.stale_served"
 
 (* Control-plane decisions mirror into reason events 1:1 under the
    same kind names — election, lease, re-drive and snapshot machinery
