@@ -1,4 +1,4 @@
-.PHONY: all build test lint certify-smoke farm-smoke chaos-smoke control-smoke trace-smoke perf-compare check clean
+.PHONY: all build test lint certify-smoke farm-smoke chaos-smoke control-smoke trace-smoke fig6-check perf-compare check clean
 
 all: build
 
@@ -66,6 +66,12 @@ trace-smoke:
 	dune exec bin/dvmctl.exe -- flight --out _build/trace-smoke/flight
 	dune exec bin/dvmctl.exe -- slo --json
 
+# Fig 6 cross-architecture check: every app must print identical
+# output as Monolithic, DVM and cached DVM. The bench exits nonzero on
+# any divergence; this is the property an interpreter change risks.
+fig6-check:
+	dune exec bench/main.exe -- fig6
+
 # Perf compare, the BENCH pin: the bench perf phase re-runs the six
 # seeded phases that write BENCH_<phase>.json, exits non-zero if any
 # served byte, digest or metric drifts from the committed baselines,
@@ -93,6 +99,7 @@ check:
 	$(MAKE) chaos-smoke
 	$(MAKE) control-smoke
 	$(MAKE) trace-smoke
+	$(MAKE) fig6-check
 	$(MAKE) perf-compare
 	@if git ls-files | grep -q '^_build/'; then \
 	  echo "check: _build/ files are tracked in git" >&2; exit 1; fi

@@ -167,16 +167,23 @@ let fig6 () =
     (Lazy.force fig6_results);
   Printf.printf "\nAverage uncached overhead: %+.1f%% (paper: ~+11%%)\n"
     (!total_ovhd /. 5.0);
-  List.iter
-    (fun (name, results) ->
-      let outs =
-        List.sort_uniq compare
-          (List.map (fun (_, r) -> r.Dvm.Experiment.r_output) results)
-      in
-      if List.length outs <> 1 then
-        Printf.printf "WARNING: %s outputs diverge across architectures!\n"
-          name)
-    (Lazy.force fig6_results)
+  (* The paper's claim is identical output under every architecture;
+     a divergence fails the bench. *)
+  let diverging =
+    List.filter_map
+      (fun (name, results) ->
+        let outs =
+          List.sort_uniq compare
+            (List.map (fun (_, r) -> r.Dvm.Experiment.r_output) results)
+        in
+        if List.length outs <> 1 then Some name else None)
+      (Lazy.force fig6_results)
+  in
+  if diverging <> [] then begin
+    Printf.eprintf "fig6: FAILED, outputs diverge across architectures: %s\n"
+      (String.concat ", " diverging);
+    exit 1
+  end
 
 (* --- Figure 7: client-side verification overhead. --- *)
 

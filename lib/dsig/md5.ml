@@ -99,17 +99,17 @@ let digest_spec (msg : string) : string =
    RFC 1321 MD5, so its output is byte-identical to the reference
    implementation above, which tests cross-check against it). *)
 let digest (msg : string) : string = Digest.string msg
+let digest_subbytes b off len = Digest.subbytes b off len
 
 let hex_chars = "0123456789abcdef"
 
 let to_hex (d : string) =
   let b = Bytes.create (2 * String.length d) in
-  String.iteri
-    (fun i c ->
-      let x = Char.code c in
-      Bytes.set b (2 * i) hex_chars.[x lsr 4];
-      Bytes.set b ((2 * i) + 1) hex_chars.[x land 15])
-    d;
+  for i = 0 to String.length d - 1 do
+    let x = Char.code d.[i] in
+    Bytes.set b (2 * i) hex_chars.[x lsr 4];
+    Bytes.set b ((2 * i) + 1) hex_chars.[x land 15]
+  done;
   Bytes.unsafe_to_string b
 
 let hex_digest msg = to_hex (digest msg)

@@ -8,5 +8,9 @@ val digest_spec : string -> string
     {!digest}, kept as the readable reference and cross-checked against
     it in the test suite. *)
 
+val digest_subbytes : bytes -> int -> int -> string
+(** [digest_subbytes b off len] is [digest] of that slice of [b],
+    without copying it out. *)
+
 val to_hex : string -> string
 val hex_digest : string -> string

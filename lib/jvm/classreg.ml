@@ -9,6 +9,31 @@ type loaded = {
   statics : (string, Value.t) Hashtbl.t;
   mutable init_state : init_state;
   wire_bytes : int; (* encoded size when fetched; 0 for boot classes *)
+  sites : site option array;
+      (* constant-pool cache: one slot per pool entry, filled by the
+         interpreter the first time a method ref is executed *)
+}
+
+(* A resolved method ref, as a JVM's constant-pool cache holds it. The
+   parsed ref and its argument count are pure functions of the pool and
+   never go stale. Everything resolved against the registry is valid
+   only while [gen] equals the registry's [generation]; [sync] drops it
+   otherwise. A resolution is stored only if [resolve_method] memoized
+   it, so a walk that consulted the provider replays on every
+   execution, exactly as uncached. *)
+and site = {
+  mref : Bytecode.Cp.member_ref;
+  mutable nargs : int; (* parameter count; -1 until the descriptor parses *)
+  mutable gen : int;
+  mutable target : (loaded * Bytecode.Classfile.meth) option;
+      (* invokestatic / invokespecial: resolution from the ref class *)
+  mutable recv_cls : string;
+  mutable recv_target : (loaded * Bytecode.Classfile.meth) option;
+      (* invokevirtual / invokeinterface: monomorphic inline cache,
+         keyed on the receiver's dynamic class [recv_cls] *)
+  mutable init_cls : loaded option;
+      (* invokestatic: the ref class's record, once initialization has
+         begun, so [ensure_initialized] can be skipped *)
 }
 
 type provider = string -> string option
@@ -23,6 +48,8 @@ type t = {
   mutable classes_fetched : int;
   mutable bytes_fetched : int;
   mutable load_order : string list; (* most recent first *)
+  mutable generation : int;
+      (* bumped with every flush below; guards the constant-pool caches *)
   (* Hierarchy-query memos. Interpretation hits [resolve_method],
      [resolve_field], [is_subclass] and [all_instance_fields] on every
      invoke / field access / checkcast / new, and each is a chain walk
@@ -45,6 +72,7 @@ let create ?(provider = fun _ -> None) () =
     classes_fetched = 0;
     bytes_fetched = 0;
     load_order = [];
+    generation = 0;
     method_cache = Hashtbl.create 64;
     field_cache = Hashtbl.create 64;
     subtype_cache = Hashtbl.create 64;
@@ -52,6 +80,7 @@ let create ?(provider = fun _ -> None) () =
   }
 
 let flush_query_caches t =
+  t.generation <- t.generation + 1;
   Hashtbl.reset t.method_cache;
   Hashtbl.reset t.field_cache;
   Hashtbl.reset t.subtype_cache;
@@ -68,7 +97,33 @@ let make_loaded ?(wire_bytes = 0) cf =
         Hashtbl.replace statics f.Bytecode.Classfile.f_name
           (Value.default_of_descriptor f.Bytecode.Classfile.f_desc))
     cf.Bytecode.Classfile.fields;
-  { cf; statics; init_state = Not_initialized; wire_bytes }
+  {
+    cf;
+    statics;
+    init_state = Not_initialized;
+    wire_bytes;
+    sites = Array.make (Array.length cf.Bytecode.Classfile.pool) None;
+  }
+
+let new_site mref =
+  {
+    mref;
+    nargs = -1;
+    gen = -1;
+    target = None;
+    recv_cls = "";
+    recv_target = None;
+    init_cls = None;
+  }
+
+let sync t s =
+  if s.gen <> t.generation then begin
+    s.gen <- t.generation;
+    s.target <- None;
+    s.recv_cls <- "";
+    s.recv_target <- None;
+    s.init_cls <- None
+  end
 
 let register t cf =
   flush_query_caches t;
@@ -200,11 +255,12 @@ let is_subclass t ~sub ~super =
 
 (* Walk the superclass chain looking for a concrete (or native)
    method. Returns the defining class's entry too, so the caller can
-   find the right native implementation. *)
-let resolve_method t cls_name name desc =
+   find the right native implementation, and whether the result is
+   memoized. *)
+let resolve_method_memo t cls_name name desc =
   let key = (cls_name, name, desc) in
   match Hashtbl.find_opt t.method_cache key with
-  | Some r -> r
+  | Some r -> (r, true)
   | None ->
     let missed = ref false in
     let rec walk cname =
@@ -220,7 +276,10 @@ let resolve_method t cls_name name desc =
     in
     let r = walk cls_name in
     if not !missed then Hashtbl.replace t.method_cache key r;
-    r
+    (r, not !missed)
+
+let resolve_method t cls_name name desc =
+  fst (resolve_method_memo t cls_name name desc)
 
 let resolve_field t cls_name name =
   let key = (cls_name, name) in

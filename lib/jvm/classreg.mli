@@ -9,6 +9,26 @@ type loaded = {
   statics : (string, Value.t) Hashtbl.t;
   mutable init_state : init_state;
   wire_bytes : int;  (** encoded size when fetched; 0 for boot classes *)
+  sites : site option array;
+      (** constant-pool cache: one slot per pool entry, filled by the
+          interpreter on the first execution of a method ref *)
+}
+
+(** A resolved method ref. [mref] and [nargs] never go stale; the
+    mutable resolution fields below [gen] hold only while [gen] equals
+    the registry's [generation] (see {!sync}), and are filled only
+    from memoized resolutions (see {!resolve_method_memo}). *)
+and site = {
+  mref : Bytecode.Cp.member_ref;
+  mutable nargs : int;  (** parameter count; -1 until parsed *)
+  mutable gen : int;
+  mutable target : (loaded * Bytecode.Classfile.meth) option;
+      (** resolution from the ref class (invokestatic/invokespecial) *)
+  mutable recv_cls : string;
+  mutable recv_target : (loaded * Bytecode.Classfile.meth) option;
+      (** inline cache for receivers of class [recv_cls] *)
+  mutable init_cls : loaded option;
+      (** invokestatic: the ref class, once its initialization began *)
 }
 
 type provider = string -> string option
@@ -24,6 +44,8 @@ type t = {
   mutable classes_fetched : int;
   mutable bytes_fetched : int;
   mutable load_order : string list;  (** most recently loaded first *)
+  mutable generation : int;
+      (** bumped whenever [classes] changes; guards every {!site} *)
   method_cache :
     (string * string * string, (loaded * Bytecode.Classfile.meth) option) Hashtbl.t;
       (** memoized [resolve_method]; flushed whenever [classes] changes *)
@@ -42,6 +64,14 @@ val set_on_load : t -> (Bytecode.Classfile.t -> unit) -> unit
 
 val register : t -> Bytecode.Classfile.t -> unit
 (** Register a boot class directly, bypassing provider and hook. *)
+
+val new_site : Bytecode.Cp.member_ref -> site
+(** An unresolved site for a parsed method ref. *)
+
+val sync : t -> site -> unit
+(** Drop a site's resolutions if the registry changed since they were
+    stored, and tie the site to the current generation. Call it right
+    before storing a resolution made in the current generation. *)
 
 val find_loaded : t -> string -> loaded option
 
@@ -62,6 +92,16 @@ val array_elem : string -> string option
 val resolve_method :
   t -> string -> string -> string -> (loaded * Bytecode.Classfile.meth) option
 (** [resolve_method t cls name desc] walks the superclass chain. *)
+
+val resolve_method_memo :
+  t ->
+  string ->
+  string ->
+  string ->
+  (loaded * Bytecode.Classfile.meth) option * bool
+(** [resolve_method], also telling whether the result is memoized. It
+    is not when the walk consulted the provider; such a walk must be
+    repeated on every query so its side effects replay. *)
 
 val resolve_field :
   t -> string -> string -> (loaded * Bytecode.Classfile.field) option

@@ -27,26 +27,57 @@ let create ?(clock = fun () -> 0L) () =
   { events = []; last_chain = "genesis"; count = 0; clock }
 
 (* One seal per audited method entry/exit makes this the hottest
-   string-building site in the monitor; a reused buffer assembles the
-   identical "prev|seq|time|session|kind|detail" image without the
-   printf machinery. *)
-let seal_buf = Buffer.create 256
+   string-building site in the monitor. The
+   "prev|seq|time|session|kind|detail" image is assembled in a reused
+   buffer, with decimals written in place, and hashed straight from
+   the buffer: no printf, no number-to-string temporaries and no copy
+   of the image. *)
+let seal_img = ref (Bytes.create 256)
+
+let put_string b pos s =
+  Bytes.blit_string s 0 b pos (String.length s);
+  pos + String.length s
+
+let put_sep b pos =
+  Bytes.set b pos '|';
+  pos + 1
+
+(* [n] in decimal, as [string_of_int] writes it. Digits come from the
+   non-positive [-|n|], which also covers [min_int]. *)
+let put_int b pos n =
+  let m = if n < 0 then n else -n in
+  let rec ndigits m k = if m > -10 then k else ndigits (m / 10) (k + 1) in
+  let len = ndigits m 1 + if n < 0 then 1 else 0 in
+  if n < 0 then Bytes.set b pos '-';
+  let rec fill m i =
+    Bytes.set b i (Char.chr (48 - (m mod 10)));
+    if m <= -10 then fill (m / 10) (i - 1)
+  in
+  fill m (pos + len - 1);
+  pos + len
+
+let put_int64 b pos n =
+  if
+    Int64.compare n (Int64.of_int min_int) >= 0
+    && Int64.compare n (Int64.of_int max_int) <= 0
+  then put_int b pos (Int64.to_int n)
+  else put_string b pos (Int64.to_string n)
 
 let seal ~prev ~seq ~time ~session ~kind ~detail =
-  let b = seal_buf in
-  Buffer.clear b;
-  Buffer.add_string b prev;
-  Buffer.add_char b '|';
-  Buffer.add_string b (string_of_int seq);
-  Buffer.add_char b '|';
-  Buffer.add_string b (Int64.to_string time);
-  Buffer.add_char b '|';
-  Buffer.add_string b (string_of_int session);
-  Buffer.add_char b '|';
-  Buffer.add_string b kind;
-  Buffer.add_char b '|';
-  Buffer.add_string b detail;
-  Dsig.Md5.hex_digest (Buffer.contents b)
+  (* three decimals of at most 20 characters each, five separators *)
+  let need =
+    String.length prev + String.length kind + String.length detail + 65
+  in
+  if Bytes.length !seal_img < need then
+    seal_img := Bytes.create (max need (2 * Bytes.length !seal_img));
+  let b = !seal_img in
+  let pos = put_sep b (put_string b 0 prev) in
+  let pos = put_sep b (put_int b pos seq) in
+  let pos = put_sep b (put_int64 b pos time) in
+  let pos = put_sep b (put_int b pos session) in
+  let pos = put_sep b (put_string b pos kind) in
+  let pos = put_string b pos detail in
+  Dsig.Md5.to_hex (Dsig.Md5.digest_subbytes b 0 pos)
 
 let append ?time t ~session ~kind ~detail =
   let time = match time with Some t -> t | None -> t.clock () in

@@ -20,6 +20,17 @@ val create : ?clock:(unit -> int64) -> unit -> t
     inject the simulation's virtual clock so audit events and
     telemetry spans agree on timestamps. Defaults to a constant 0. *)
 
+val seal :
+  prev:string ->
+  seq:int ->
+  time:int64 ->
+  session:int ->
+  kind:string ->
+  detail:string ->
+  string
+(** The hex MD5 of ["prev|seq|time|session|kind|detail"], the decimals
+    written as [%d] / [%Ld] would: an event's [ev_chain]. *)
+
 val append : ?time:int64 -> t -> session:int -> kind:string -> detail:string -> unit
 val events : t -> event list
 val verify_chain : t -> bool

@@ -182,6 +182,183 @@ let test_jsr_ret () =
   check Alcotest.int "one call" 10 (f 1);
   check Alcotest.int "two calls" 20 (f 0)
 
+(* --- Int32 semantics: every int op must match [Int32] exactly. --- *)
+
+let int_ops =
+  let shift f a b = f a (Int32.to_int b land 31) in
+  let total f a b = Some (f a b) in
+  let checked f a b = if Int32.equal b 0l then None else Some (f a b) in
+  [
+    ("iadd", B.Add, total Int32.add);
+    ("isub", B.Sub, total Int32.sub);
+    ("imul", B.Mul, total Int32.mul);
+    ("idiv", B.Div, checked Int32.div);
+    ("irem", B.Rem, checked Int32.rem);
+    ("ishl", B.Shl, total (shift Int32.shift_left));
+    ("ishr", B.Shr, total (shift Int32.shift_right));
+    ("iand", B.And, total Int32.logand);
+    ("ior", B.Or, total Int32.logor);
+    ("ixor", B.Xor, total Int32.logxor);
+  ]
+
+let cmps = [ ("eq", I.Eq); ("ne", I.Ne); ("lt", I.Lt); ("ge", I.Ge); ("gt", I.Gt); ("le", I.Le) ]
+
+let cmp_holds c n =
+  match c with
+  | I.Eq -> n = 0
+  | I.Ne -> n <> 0
+  | I.Lt -> n < 0
+  | I.Ge -> n >= 0
+  | I.Gt -> n > 0
+  | I.Le -> n <= 0
+
+(* Deltas wider than 32 bits wrap like [Int32.of_int]. *)
+let iinc_deltas =
+  [ 1; -1; 0x7fffffff; -0x80000000; 0x80000000; 0xffffffff; 1 lsl 32; max_int; min_int ]
+
+let switch_lows =
+  [ Int32.min_int; Int32.succ Int32.min_int; Int32.sub Int32.max_int 2l; Int32.max_int; 0l ]
+
+let returns_flag branch =
+  [ branch; B.Const 0; B.Ireturn; B.Label "t"; B.Const 1; B.Ireturn ]
+
+(* Each op [name] returns its result; [name ^ "_eq"] also takes the
+   expected result as a last argument and compares it with if_icmpeq
+   inside the frame, before any boxing could re-wrap a result that was
+   left outside 32 bits. *)
+let int_desc arity = "(" ^ String.make arity 'I' ^ ")I"
+
+let int32_cls =
+  let m = B.meth ~flags:static in
+  let op_and_eq name arity body =
+    [
+      m name (int_desc arity) (body @ [ B.Ireturn ]);
+      m (name ^ "_eq") (int_desc (arity + 1))
+        (body @ (B.Iload arity :: returns_flag (B.If_icmp (I.Eq, "t"))));
+    ]
+  in
+  B.class_ "I32"
+    (List.concat_map
+       (fun (name, op, _) -> op_and_eq name 2 [ B.Iload 0; B.Iload 1; op ])
+       int_ops
+    @ op_and_eq "ineg" 1 [ B.Iload 0; B.Neg ]
+    @ List.concat_map
+        (fun (name, c) ->
+          [
+            m ("icmp_" ^ name) "(II)I"
+              (B.Iload 0 :: B.Iload 1 :: returns_flag (B.If_icmp (c, "t")));
+            m ("ifz_" ^ name) "(I)I" (B.Iload 0 :: returns_flag (B.If_z (c, "t")));
+          ])
+        cmps
+    @ List.concat
+        (List.mapi
+           (fun i d -> op_and_eq (Printf.sprintf "iinc%d" i) 1 [ B.Inc (0, d); B.Iload 0 ])
+           iinc_deltas)
+    @ List.mapi
+        (fun i low ->
+          m (Printf.sprintf "switch%d" i) "(I)I"
+            [
+              B.Iload 0;
+              B.Switch (Int32.to_int low, [ "a"; "b"; "c" ], "d");
+              B.Label "a"; B.Const 1; B.Ireturn;
+              B.Label "b"; B.Const 2; B.Ireturn;
+              B.Label "c"; B.Const 3; B.Ireturn;
+              B.Label "d"; B.Const 0; B.Ireturn;
+            ])
+        switch_lows
+    @ [
+        m "array" "(I)I"
+          [
+            B.Const 1; B.Newarray; B.Astore 1;
+            B.Aload 1; B.Const 0; B.Iload 0; B.Iastore;
+            B.Aload 1; B.Const 0; B.Iaload; B.Ireturn;
+          ];
+      ])
+
+let int32_vm = lazy (vm_with [ int32_cls ])
+
+(* [Some n] for a returned int, [None] for an ArithmeticException. *)
+let run_i32 name desc args =
+  let vm = Lazy.force int32_vm in
+  match call_static vm "I32" name desc (List.map (fun n -> V.Int n) args) with
+  | Some (V.Int n) -> Some n
+  | _ -> fail (name ^ ": no int result")
+  | exception Jvm.Vmstate.Throw e
+    when String.equal (V.class_of e) "java/lang/ArithmeticException" ->
+    None
+
+let edge_int32 =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 1,
+          oneofl
+            [ Int32.min_int; Int32.max_int; -1l; 0l; 1l; 31l; 32l; 63l; Int32.succ Int32.min_int; Int32.pred Int32.max_int ] );
+        (1, int32);
+      ])
+
+let prop_int32_ops =
+  QCheck.Test.make ~name:"int ops match Int32" ~count:400
+    (QCheck.make
+       ~print:(fun (a, b, d) -> Printf.sprintf "a=%ld b=%ld d=%d" a b d)
+       QCheck.Gen.(triple edge_int32 edge_int32 (int_range (-2) 4)))
+    (fun (a, b, d) ->
+      let same what got want =
+        if got <> want then
+          QCheck.Test.fail_reportf "%s: got %s, want %s" what
+            (match got with Some n -> Int32.to_string n | None -> "throw")
+            (match want with Some n -> Int32.to_string n | None -> "throw")
+      in
+      let exact name args want =
+        let arity = List.length args in
+        same name (run_i32 name (int_desc arity) args) want;
+        match want with
+        | Some n ->
+          same (name ^ "_eq")
+            (run_i32 (name ^ "_eq") (int_desc (arity + 1)) (args @ [ n ]))
+            (Some 1l)
+        | None -> ()
+      in
+      List.iter (fun (name, _, f) -> exact name [ a; b ] (f a b)) int_ops;
+      exact "ineg" [ a ] (Some (Int32.neg a));
+      List.iter
+        (fun (name, c) ->
+          let flag b = Some (if b then 1l else 0l) in
+          same ("icmp_" ^ name) (run_i32 ("icmp_" ^ name) "(II)I" [ a; b ])
+            (flag (cmp_holds c (Int32.compare a b)));
+          same ("ifz_" ^ name) (run_i32 ("ifz_" ^ name) "(I)I" [ a ])
+            (flag (cmp_holds c (Int32.compare a 0l))))
+        cmps;
+      List.iteri
+        (fun i delta ->
+          exact (Printf.sprintf "iinc%d" i) [ a ]
+            (Some (Int32.add a (Int32.of_int delta))))
+        iinc_deltas;
+      List.iteri
+        (fun i low ->
+          let name = Printf.sprintf "switch%d" i in
+          List.iter
+            (fun v ->
+              let k = Int32.to_int (Int32.sub v low) in
+              let want = if k >= 0 && k < 3 then Int32.of_int (k + 1) else 0l in
+              same name (run_i32 name "(I)I" [ v ]) (Some want))
+            [ a; Int32.add low (Int32.of_int d) ])
+        switch_lows;
+      same "array" (run_i32 "array" "(I)I" [ a ]) (Some a);
+      true)
+
+let test_int32_extremes () =
+  List.iter
+    (fun n ->
+      check Alcotest.(option int32) "iastore/iaload" (Some n) (run_i32 "array" "(I)I" [ n ]))
+    [ Int32.min_int; Int32.max_int ];
+  check Alcotest.(option int32) "min_int / -1" (Some Int32.min_int)
+    (run_i32 "idiv" "(II)I" [ Int32.min_int; -1l ]);
+  check Alcotest.(option int32) "min_int % -1" (Some 0l)
+    (run_i32 "irem" "(II)I" [ Int32.min_int; -1l ]);
+  check Alcotest.(option int32) "neg min_int" (Some Int32.min_int)
+    (run_i32 "ineg" "(I)I" [ Int32.min_int ])
+
 (* --- Objects, dispatch, fields. --- *)
 
 let animal_classes =
@@ -632,6 +809,192 @@ let test_on_load_hook_rejects () =
   Jvm.Classreg.register vm.Jvm.Vmstate.reg user;
   expect_throw vm "User3" "f" "()V" [] "java/lang/VerifyError"
 
+(* --- The interpreter's constant-pool cache. ---
+
+   A cached call site must behave exactly as a fresh resolution: it
+   follows lazy loads and class replacement, and a resolution that had
+   to ask the provider is redone (with its side effects) every time. *)
+
+let int_result = function
+  | Some (V.Int n) -> Int32.to_int n
+  | Some v -> fail ("got " ^ V.to_string v)
+  | None -> fail "no result"
+
+let maker cls =
+  B.meth ~flags:static ("mk" ^ cls) ("()L" ^ cls ^ ";")
+    [ B.New cls; B.Dup; B.Invokespecial (cls, "<init>", "()V"); B.Areturn ]
+
+let test_site_follows_lazy_subclass () =
+  let sub =
+    B.class_ "IcB" ~super:"IcA"
+      [ B.default_init "IcA"; B.meth "m" "()I" [ B.Const 2; B.Ireturn ] ]
+  in
+  let bytes = Bytecode.Encode.class_to_bytes sub in
+  let provider name = if name = "IcB" then Some bytes else None in
+  let vm = Jvm.Bootlib.fresh_vm ~provider () in
+  List.iter (Jvm.Classreg.register vm.Jvm.Vmstate.reg)
+    [
+      B.class_ "IcA"
+        [ B.default_init "java/lang/Object"; B.meth "m" "()I" [ B.Const 1; B.Ireturn ] ];
+      B.class_ "IcCall"
+        [
+          B.meth ~flags:static "call" "(LIcA;)I"
+            [ B.Aload 0; B.Invokevirtual ("IcA", "m", "()I"); B.Ireturn ];
+          maker "IcA";
+          maker "IcB";
+        ];
+    ];
+  let make c =
+    match call_static vm "IcCall" ("mk" ^ c) ("()L" ^ c ^ ";") [] with
+    | Some v -> v
+    | None -> fail "no object"
+  in
+  let call o = int_result (call_static vm "IcCall" "call" "(LIcA;)I" [ o ]) in
+  let a = make "IcA" in
+  check Alcotest.int "A" 1 (call a);
+  check Alcotest.int "A, cached site" 1 (call a);
+  check Alcotest.bool "B not loaded yet" false
+    (Jvm.Classreg.is_loaded vm.Jvm.Vmstate.reg "IcB");
+  let b = make "IcB" in
+  check Alcotest.bool "B loaded lazily" true
+    (Jvm.Classreg.is_loaded vm.Jvm.Vmstate.reg "IcB");
+  check Alcotest.int "B's override" 2 (call b);
+  check Alcotest.int "A again" 1 (call a);
+  check Alcotest.int "B again" 2 (call b)
+
+let test_site_follows_replacement () =
+  let rep k =
+    B.class_ "Rep"
+      [
+        B.default_init "java/lang/Object";
+        B.meth ~flags:static "<clinit>" "()V"
+          [
+            B.Getstatic ("java/lang/System", "out", "Ljava/io/OutputStream;");
+            B.Push_str (Printf.sprintf "init%d" k);
+            B.Invokevirtual ("java/io/OutputStream", "println", "(Ljava/lang/String;)V");
+            B.Return;
+          ];
+        B.meth ~flags:static "v" "()I" [ B.Const k; B.Ireturn ];
+        B.meth "w" "()I" [ B.Const (10 * k); B.Ireturn ];
+        B.meth "u" "()I" [ B.Const (100 * k); B.Ireturn ];
+      ]
+  in
+  (* Distinct methods per call kind, so no two sites share a pool entry. *)
+  let caller =
+    B.class_ "RepCall"
+      [
+        B.meth ~flags:static "s" "()I" [ B.Invokestatic ("Rep", "v", "()I"); B.Ireturn ];
+        B.meth ~flags:static "d" "(LRep;)I"
+          [ B.Aload 0; B.Invokevirtual ("Rep", "w", "()I"); B.Ireturn ];
+        B.meth ~flags:static "p" "(LRep;)I"
+          [ B.Aload 0; B.Invokespecial ("Rep", "u", "()I"); B.Ireturn ];
+        maker "Rep";
+      ]
+  in
+  let vm = vm_with [ rep 1; caller ] in
+  let o =
+    match call_static vm "RepCall" "mkRep" "()LRep;" [] with
+    | Some v -> v
+    | None -> fail "no object"
+  in
+  let s () = int_result (call_static vm "RepCall" "s" "()I" []) in
+  let d () = int_result (call_static vm "RepCall" "d" "(LRep;)I" [ o ]) in
+  let p () = int_result (call_static vm "RepCall" "p" "(LRep;)I" [ o ]) in
+  let out () = Jvm.Vmstate.output vm in
+  for _ = 1 to 2 do
+    check Alcotest.int "static" 1 (s ());
+    check Alcotest.int "virtual" 10 (d ());
+    check Alcotest.int "special" 100 (p ())
+  done;
+  check Alcotest.string "initialized once" "init1\n" (out ());
+  Jvm.Classreg.register vm.Jvm.Vmstate.reg (rep 2);
+  check Alcotest.int "virtual, replaced" 20 (d ());
+  check Alcotest.int "special, replaced" 200 (p ());
+  check Alcotest.string "not yet initialized" "init1\n" (out ());
+  check Alcotest.int "static, replaced" 2 (s ());
+  check Alcotest.string "replacement initialized by the cached site"
+    "init1\ninit2\n" (out ());
+  for _ = 1 to 2 do
+    check Alcotest.int "static" 2 (s ());
+    check Alcotest.int "virtual" 20 (d ());
+    check Alcotest.int "special" 200 (p ())
+  done;
+  check Alcotest.string "each class initialized once" "init1\ninit2\n" (out ())
+
+let test_site_replays_provider_misses () =
+  let asked = ref [] in
+  let provider name =
+    asked := name :: !asked;
+    None
+  in
+  let vm = Jvm.Bootlib.fresh_vm ~provider () in
+  List.iter (Jvm.Classreg.register vm.Jvm.Vmstate.reg)
+    [
+      B.class_ "Orphan" ~super:"Ghost" [ B.meth ~flags:static "h" "()V" [ B.Return ] ];
+      B.class_ "OrphCall"
+        [
+          B.meth ~flags:static "orphan" "()V"
+            [ B.Invokestatic ("Orphan", "g", "()V"); B.Return ];
+          B.meth ~flags:static "nowhere" "()V"
+            [ B.Invokestatic ("Nowhere", "g", "()V"); B.Return ];
+        ];
+    ];
+  let run name =
+    match call_static vm "OrphCall" name "()V" [] with
+    | _ -> fail "expected a throw"
+    | exception Jvm.Vmstate.Throw e -> (V.class_of e, List.length !asked)
+  in
+  let ncdfe = "java/lang/NoClassDefFoundError"
+  and nsme = "java/lang/NoSuchMethodError" in
+  (* The first run fails initializing Orphan's superclass; Orphan stays
+     mid-initialization, so later runs fail resolving [g] up a chain
+     that still asks the provider for Ghost. *)
+  check
+    Alcotest.(list (pair string int))
+    "orphan" [ (ncdfe, 1); (nsme, 2); (nsme, 3); (nsme, 4) ]
+    (List.init 4 (fun _ -> run "orphan"));
+  check
+    Alcotest.(list (pair string int))
+    "nowhere" [ (ncdfe, 5); (ncdfe, 6); (ncdfe, 7) ]
+    (List.init 3 (fun _ -> run "nowhere"));
+  check Alcotest.bool "only the missing classes were asked for" true
+    (List.for_all (fun n -> n = "Ghost" || n = "Nowhere") !asked)
+
+let test_invokestatic_clinit_once () =
+  let once =
+    B.class_ "Once"
+      [
+        B.meth ~flags:static "<clinit>" "()V"
+          [
+            B.Getstatic ("java/lang/System", "out", "Ljava/io/OutputStream;");
+            B.Push_str "clinit";
+            B.Invokevirtual ("java/io/OutputStream", "println", "(Ljava/lang/String;)V");
+            (* a static call back into the class while it initializes *)
+            B.Invokestatic ("Once", "f", "()I");
+            B.Pop;
+            B.Return;
+          ];
+        B.meth ~flags:static "f" "()I" [ B.Const 5; B.Ireturn ];
+      ]
+  in
+  let caller =
+    B.class_ "OnceCall"
+      [
+        B.meth ~flags:static "run" "()I"
+          [
+            B.Invokestatic ("Once", "f", "()I");
+            B.Invokestatic ("Once", "f", "()I");
+            B.Add;
+            B.Ireturn;
+          ];
+      ]
+  in
+  let vm = vm_with [ once; caller ] in
+  for _ = 1 to 3 do
+    check Alcotest.int "result" 10 (int_result (call_static vm "OnceCall" "run" "()I" []))
+  done;
+  check Alcotest.string "<clinit> ran once" "clinit\n" (Jvm.Vmstate.output vm)
+
 (* --- Natives. --- *)
 
 let test_string_natives () =
@@ -915,10 +1278,10 @@ let test_gc_after_workload () =
 
 (* --- Faults on unverifiable code. --- *)
 
-let expect_fault vm cls name desc args =
+let expect_fault vm cls name desc args msg =
   match Jvm.Interp.invoke vm ~cls ~name ~desc args with
   | _ -> fail "expected Runtime_fault"
-  | exception Jvm.Vmstate.Runtime_fault _ -> ()
+  | exception Jvm.Vmstate.Runtime_fault m -> check Alcotest.string "fault" msg m
 
 let test_fault_type_confusion () =
   let cls =
@@ -929,38 +1292,99 @@ let test_fault_type_confusion () =
       ]
   in
   let vm = vm_with [ cls ] in
-  expect_fault vm "Bad1" "f" "()I" []
+  expect_fault vm "Bad1" "f" "()I" [] "expected int, got \"not an int\""
 
 let test_fault_stack_underflow () =
   let cls =
     B.class_ "Bad2" [ B.meth ~flags:static "f" "()I" [ B.Add; B.Ireturn ] ]
   in
   let vm = vm_with [ cls ] in
-  expect_fault vm "Bad2" "f" "()I" []
+  expect_fault vm "Bad2" "f" "()I" [] "operand stack underflow"
+
+(* A class whose one static method [f] runs [instrs] as given, with no
+   builder estimates: the shape of code the verifier would reject. *)
+let raw_class name ?(max_stack = 4) ?(max_locals = 2) desc instrs =
+  {
+    (B.class_ name []) with
+    CF.methods =
+      [
+        {
+          CF.m_name = "f";
+          m_desc = desc;
+          m_flags = static;
+          m_code = Some { CF.max_stack; max_locals; instrs; handlers = [] };
+        };
+      ];
+  }
 
 let test_fault_falls_off_end () =
-  let cls =
-    { (B.class_ "Bad3" [ B.meth ~flags:static "f" "()V" [ B.Return ] ]) with
-      CF.methods =
-        [
-          {
-            CF.m_name = "f";
-            m_desc = "()V";
-            m_flags = static;
-            m_code =
-              Some
-                {
-                  CF.max_stack = 1;
-                  max_locals = 1;
-                  instrs = [| Bytecode.Instr.Nop |];
-                  handlers = [];
-                };
-          };
-        ];
-    }
-  in
+  let cls = raw_class "Bad3" ~max_stack:1 ~max_locals:1 "()V" [| I.Nop |] in
   let vm = vm_with [ cls ] in
-  expect_fault vm "Bad3" "f" "()V" []
+  expect_fault vm "Bad3" "f" "()V" [] "pc 1 outside method Bad3.f"
+
+(* Exact Runtime_fault text for every slot-kind confusion, on the
+   stack and in locals, and for stack and local bounds. *)
+let test_fault_messages () =
+  let cases =
+    [
+      (* int expected on the stack *)
+      ("(Ljava/lang/String;)I", [ V.Str "s" ], 4, 2,
+        [| I.Aload 0; I.Iconst 1l; I.Iadd; I.Ireturn |],
+        "expected int, got \"s\"");
+      ("()I", [], 4, 2, [| I.Jsr 1; I.Iconst 1l; I.Iadd; I.Ireturn |],
+        "expected int, got retaddr@1");
+      ("()V", [], 4, 2, [| I.Aconst_null; I.Istore 0; I.Return |],
+        "expected int, got null");
+      (* reference expected on the stack *)
+      ("()Ljava/lang/Object;", [], 4, 2, [| I.Iconst 5l; I.Areturn |],
+        "expected reference, got 5");
+      ("()Ljava/lang/Object;", [], 4, 2, [| I.Jsr 1; I.Areturn |],
+        "expected reference, got retaddr@1");
+      ("()V", [], 4, 2, [| I.Iconst 3l; I.Astore 0; I.Return |],
+        "expected reference, got 3");
+      (* the same confusions in locals *)
+      ("(Ljava/lang/String;)I", [ V.Str "s" ], 4, 2,
+        [| I.Iload 0; I.Ireturn |], "expected int, got \"s\"");
+      ("()I", [], 4, 2, [| I.Jsr 1; I.Astore 0; I.Iload 0; I.Ireturn |],
+        "expected int, got retaddr@1");
+      ("()V", [], 4, 1, [| I.Iinc (0, 1); I.Return |],
+        "expected int, got null");
+      ("(I)Ljava/lang/Object;", [ V.Int 5l ], 4, 2,
+        [| I.Aload 0; I.Areturn |], "expected reference, got 5");
+      ("(I)V", [ V.Int 7l ], 4, 2, [| I.Ret 0 |],
+        "expected return address, got 7");
+      ("(Ljava/lang/String;)V", [ V.Str "s" ], 4, 2, [| I.Ret 0 |],
+        "expected return address, got \"s\"");
+      (* stack bounds: capacity is max_stack + 1 *)
+      ("()V", [], 4, 2, [| I.Pop; I.Return |], "operand stack underflow");
+      ("()V", [], 4, 2, [| I.Iconst 1l; I.Swap; I.Return |],
+        "operand stack underflow");
+      ("()V", [], 1, 2, [| I.Iconst 1l; I.Iconst 2l; I.Iconst 3l; I.Return |],
+        "operand stack overflow");
+      ("()V", [], 0, 2, [| I.Iconst 1l; I.Dup; I.Return |],
+        "operand stack overflow");
+      ("()V", [], 1, 2,
+        [| I.Iconst 1l; I.Iconst 2l; I.Dup_x1; I.Return |],
+        "operand stack overflow");
+      (* local bounds *)
+      ("()I", [], 4, 1, [| I.Iload 3; I.Ireturn |], "local index 3 out of range");
+      ("()I", [], 4, 1, [| I.Iload (-1); I.Ireturn |],
+        "local index -1 out of range");
+      ("()V", [], 4, 1, [| I.Iconst 1l; I.Istore 1; I.Return |],
+        "local index 1 out of range");
+      ("()V", [], 4, 1, [| I.Aconst_null; I.Astore 2; I.Return |],
+        "local index 2 out of range");
+      ("()V", [], 4, 1, [| I.Iinc (1, 1); I.Return |],
+        "local index 1 out of range");
+      ("()V", [], 4, 1, [| I.Ret 4 |], "local index 4 out of range");
+    ]
+  in
+  List.iteri
+    (fun i (desc, args, max_stack, max_locals, instrs, msg) ->
+      let name = Printf.sprintf "Fault%d" i in
+      let vm = vm_with [ raw_class name ~max_stack ~max_locals desc instrs ] in
+      expect_fault vm name "f" desc args msg)
+    cases
 
 let test_budget () =
   let vm = Jvm.Bootlib.fresh_vm ~budget:1000L () in
@@ -969,9 +1393,33 @@ let test_budget () =
       [ B.meth ~flags:static "f" "()V" [ B.Label "l"; B.Goto "l" ] ]
   in
   Jvm.Classreg.register vm.Jvm.Vmstate.reg cls;
-  match call_static vm "Spin" "f" "()V" [] with
+  (match call_static vm "Spin" "f" "()V" [] with
   | _ -> fail "expected budget exhaustion"
-  | exception Jvm.Vmstate.Budget_exhausted -> ()
+  | exception Jvm.Vmstate.Budget_exhausted -> ());
+  check Alcotest.int "fires on the first instruction past the budget" 1001
+    vm.Jvm.Vmstate.instr_count;
+  (* A budget of exactly the instructions a call executes suffices; one
+     less stops it on its last instruction. *)
+  let gcd budget =
+    let vm = Jvm.Bootlib.fresh_vm ?budget () in
+    Jvm.Classreg.register vm.Jvm.Vmstate.reg gcd_cls;
+    let r =
+      match call_static vm "Gcd" "gcd" "(II)I" [ V.Int 252l; V.Int 105l ] with
+      | Some (V.Int n) -> Some n
+      | _ -> fail "no result"
+      | exception Jvm.Vmstate.Budget_exhausted -> None
+    in
+    (r, vm.Jvm.Vmstate.instr_count)
+  in
+  let r, used = gcd None in
+  check Alcotest.(option int32) "unbounded" (Some 21l) r;
+  check Alcotest.int "instructions executed" 31 used;
+  let r, n = gcd (Some (Int64.of_int used)) in
+  check Alcotest.(option int32) "exact budget" (Some 21l) r;
+  check Alcotest.int "exact budget count" used n;
+  let r, n = gcd (Some (Int64.of_int (used - 1))) in
+  check Alcotest.(option int32) "budget one short" None r;
+  check Alcotest.int "stops when the count first exceeds" used n
 
 let test_instr_count_accumulates () =
   let vm = vm_with [ gcd_cls ] in
@@ -989,6 +1437,8 @@ let () =
           Alcotest.test_case "gcd loop" `Quick test_gcd;
           Alcotest.test_case "arithmetic" `Quick test_arithmetic_ops;
           Alcotest.test_case "int32 wraparound" `Quick test_int32_wraparound;
+          Alcotest.test_case "int32 extremes" `Quick test_int32_extremes;
+          QCheck_alcotest.to_alcotest prop_int32_ops;
           Alcotest.test_case "tableswitch" `Quick test_tableswitch;
           Alcotest.test_case "jsr/ret" `Quick test_jsr_ret;
         ] );
@@ -1025,6 +1475,17 @@ let () =
           Alcotest.test_case "missing class" `Quick test_missing_class;
           Alcotest.test_case "on_load rejects" `Quick test_on_load_hook_rejects;
         ] );
+      ( "cp cache",
+        [
+          Alcotest.test_case "virtual site follows lazy subclass" `Quick
+            test_site_follows_lazy_subclass;
+          Alcotest.test_case "sites follow class replacement" `Quick
+            test_site_follows_replacement;
+          Alcotest.test_case "provider misses replay" `Quick
+            test_site_replays_provider_misses;
+          Alcotest.test_case "invokestatic runs clinit once" `Quick
+            test_invokestatic_clinit_once;
+        ] );
       ( "natives",
         [
           Alcotest.test_case "string ops" `Quick test_string_natives;
@@ -1052,6 +1513,7 @@ let () =
           Alcotest.test_case "stack underflow" `Quick
             test_fault_stack_underflow;
           Alcotest.test_case "falls off end" `Quick test_fault_falls_off_end;
+          Alcotest.test_case "fault messages" `Quick test_fault_messages;
           Alcotest.test_case "budget" `Quick test_budget;
           Alcotest.test_case "instruction counting" `Quick
             test_instr_count_accumulates;

@@ -21,6 +21,42 @@ let test_audit_chain_verifies () =
   check Alcotest.int "count" 20 (Monitor.Audit.count log);
   check Alcotest.bool "chain verifies" true (Monitor.Audit.verify_chain log)
 
+(* The seal is the chain's definition: it must hash exactly the
+   "prev|seq|time|session|kind|detail" image printf would build. *)
+let prop_seal_matches_printf =
+  let open QCheck.Gen in
+  let int_edge = oneof [ oneofl [ 0; -1; 1; 9; 10; -10; min_int; max_int ]; int ] in
+  let int64_edge =
+    oneof
+      [
+        oneofl
+          [
+            0L; -1L; Int64.min_int; Int64.max_int; Int64.of_int min_int;
+            Int64.of_int max_int; Int64.pred (Int64.of_int min_int);
+            Int64.succ (Int64.of_int max_int);
+          ];
+        map Int64.of_int int;
+        int64;
+      ]
+  in
+  (* long strings force the reused image buffer to grow *)
+  let text = oneof [ string_size (int_bound 12); string_size (int_range 200 700) ] in
+  let event =
+    map
+      (fun ((prev, seq, time), (session, kind, detail)) ->
+        (prev, seq, time, session, kind, detail))
+      (pair (triple text int_edge int64_edge) (triple int_edge text text))
+  in
+  QCheck.Test.make ~name:"seal matches its printf reference" ~count:500
+    (QCheck.make event
+       ~print:(fun (prev, seq, time, session, kind, detail) ->
+         Printf.sprintf "%S|%d|%Ld|%d|%S|%S" prev seq time session kind detail))
+    (fun (prev, seq, time, session, kind, detail) ->
+      String.equal
+        (Monitor.Audit.seal ~prev ~seq ~time ~session ~kind ~detail)
+        (Dsig.Md5.hex_digest
+           (Printf.sprintf "%s|%d|%Ld|%d|%s|%s" prev seq time session kind detail)))
+
 let test_audit_tamper_detected () =
   let log = Monitor.Audit.create () in
   Monitor.Audit.append log ~time:1L ~session:1 ~kind:"a" ~detail:"x";
@@ -339,6 +375,7 @@ let () =
           Alcotest.test_case "tamper detected" `Quick test_audit_tamper_detected;
           Alcotest.test_case "filter by kind" `Quick test_audit_filter_kind;
           Alcotest.test_case "serialize/import" `Quick test_audit_serialization;
+          QCheck_alcotest.to_alcotest prop_seal_matches_printf;
         ] );
       ( "console",
         [
