@@ -61,10 +61,14 @@ control-smoke:
 # client span, the edge routing span and the explaining reason event.
 # dvmctl exits nonzero if either trace is missing; the exports (Chrome
 # trace + JSON + flight-recorder dump) land under _build/trace-smoke/.
+# The last line traces one app run end to end (proxy warm-up on the
+# simulated clock, client run on the host clock) into one Chrome file;
+# dvmctl exits nonzero if no span reached the trace.
 trace-smoke:
 	mkdir -p _build/trace-smoke
 	dune exec bin/dvmctl.exe -- flight --out _build/trace-smoke/flight
 	dune exec bin/dvmctl.exe -- slo --json
+	dune exec bin/dvmctl.exe -- trace --out _build/trace-smoke/jlex.trace.json jlex
 
 # Fig 6 cross-architecture check: every app must print identical
 # output as Monolithic, DVM and cached DVM. The bench exits nonzero on

@@ -42,9 +42,6 @@ let telemetry_wanted =
 let bench_summary : (string * string) list ref = ref []
 let bench_put k v = bench_summary := !bench_summary @ [ (k, v) ]
 let write_bench ?(hists = true) ~wall_ms name =
-  (* The virtual/wall ratio gauge is the one wall-clock-derived metric;
-     zero it so the file stays byte-stable across runs. *)
-  Telemetry.set_gauge Telemetry.default "simnet.virtual_wall_ratio_x1000" 0L;
   let summary =
     String.concat ",\n    "
       (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k v) !bench_summary)

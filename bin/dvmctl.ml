@@ -343,21 +343,16 @@ let lint json =
             cf.Bytecode.Classfile.methods)
         app.Workloads.Appgen.classes)
     Workloads.Apps.all_specs;
-  (if json then
-     let escape s =
-       String.concat ""
-         (List.map
-            (function
-              | '"' -> "\\\"" | '\\' -> "\\\\" | '\n' -> "\\n"
-              | c -> String.make 1 c)
-            (List.init (String.length s) (String.get s)))
-     in
+  (if json then begin
      Printf.printf
        {|{"classes":%d,"methods":%d,"blocks":%d,"failures":%d,"failed":[%s]}|}
        !classes !methods !blocks !failures
        (String.concat ","
-          (List.rev_map (fun f -> Printf.sprintf {|"%s"|} (escape f)) !failed));
+          (List.rev_map
+             (fun f -> Printf.sprintf {|"%s"|} (Telemetry.json_escape f))
+             !failed));
      print_newline ()
+   end
    else
      Printf.printf
        "lint: %d classes, %d methods, %d blocks analyzed, %d failure(s)\n"
@@ -371,14 +366,7 @@ let lint json =
    bar. --- *)
 
 let certify json mutate seed count min_kill small =
-  let escape s =
-    String.concat ""
-      (List.map
-         (function
-           | '"' -> "\\\"" | '\\' -> "\\\\" | '\n' -> "\\n"
-           | c -> String.make 1 c)
-         (List.init (String.length s) (String.get s)))
-  in
+  let escape = Telemetry.json_escape in
   let rep = Dvm.Certification.certify_workloads ~small () in
   let mrep =
     if mutate then
@@ -461,8 +449,8 @@ let certify json mutate seed count min_kill small =
   if nfail > 0 || not kill_ok then 1 else 0
 
 (* --- trace / metrics: run an instrumented workload and export
-   telemetry (spans in Chrome trace_event form for Perfetto, or a
-   plain-text metrics snapshot). --- *)
+   telemetry (its spans as one Chrome trace_event file for Perfetto,
+   or a plain-text metrics snapshot). --- *)
 
 let find_spec app_name =
   match
@@ -481,8 +469,12 @@ let find_spec app_name =
    proxy over a simulated WAN (simnet events, pipeline filters, cache
    misses), then run the app on a DVM client against the warmed proxy
    (cache hits, client fetches, deferred link checks). Touches every
-   instrumented subsystem in one pass. *)
-let run_traced_workload app_name =
+   instrumented subsystem in one pass. Under a live [ctx] the whole run
+   is scoped as node "host" and the simulation inside it as node
+   "simulated", the two clocks its spans are timed on. *)
+let run_traced_workload ctx app_name =
+  let scope ~node f = Telemetry.Trace.scope ctx ~node f in
+  scope ~node:"host" @@ fun () ->
   let spec = find_spec app_name in
   let app = Workloads.Apps.build_small spec in
   let oracle =
@@ -506,7 +498,7 @@ let run_traced_workload app_name =
   List.iter
     (fun (cls, _) -> Proxy.request proxy ~cls (fun _ -> ()))
     (Workloads.Appgen.class_bytes app);
-  Simnet.Engine.run engine;
+  scope ~node:"simulated" (fun () -> Simnet.Engine.run engine);
   let cclient =
     Monitor.Console.handshake console ~user:"operator"
       ~hardware:"x86-200MHz-64MB" ~native_format:"x86" ~vm_version:"dvm-1.0"
@@ -530,26 +522,57 @@ let with_telemetry f =
   Fun.protect ~finally:(fun () -> Telemetry.disable reg) f;
   reg
 
+(* One trace for one app run: under a root span, the simulated proxy
+   warm-up is node "simulated" (virtual µs) and the rest, the client
+   run included, node "host" (wall µs since the run began), so the
+   export keeps the two timelines on separate pids. Exits nonzero if no
+   span became a leaf. *)
 let trace app_name out_path =
-  let reg = with_telemetry (fun () -> run_traced_workload app_name) in
-  (try write_file out_path (Telemetry.chrome_trace reg)
-   with Sys_error msg ->
-     Printf.eprintf "cannot write trace: %s\n" msg;
-     exit 2);
+  let module Tr = Telemetry.Trace in
+  let wall_us () = Int64.of_float (Unix.gettimeofday () *. 1e6) in
+  let t0 = wall_us () in
+  let host_us () = Int64.sub (wall_us ()) t0 in
+  let reg = Telemetry.default and trace_clock = Tr.current_clock () in
+  Telemetry.set_wall_clock reg host_us;
+  Tr.set_clock host_us;
+  Tr.reset ();
+  Tr.enable ();
+  let root = Tr.root ~node:"host" ("dvmctl.trace " ^ app_name) in
+  Fun.protect
+    ~finally:(fun () ->
+      Tr.finish root;
+      Tr.disable ();
+      Tr.set_clock trace_clock;
+      Telemetry.set_wall_clock reg wall_us)
+    (fun () ->
+      ignore
+        (with_telemetry (fun () -> run_traced_workload (Tr.ctx_of root) app_name)));
+  let tr = List.hd (Tr.trace_ids ()) in
+  let leaves = List.filter (fun s -> s.Tr.s_parent <> 0) (Tr.spans_of tr) in
   let cats =
     List.sort_uniq String.compare
-      (List.map (fun sp -> sp.Telemetry.sp_cat) (Telemetry.spans reg))
+      (List.filter_map (fun s -> List.assoc_opt "cat" s.Tr.s_args) leaves)
   in
-  Printf.printf
-    "wrote %s: %d spans across subsystems [%s], %d counters\n\
-     (open in https://ui.perfetto.dev or chrome://tracing)\n"
-    out_path (Telemetry.span_count reg)
-    (String.concat ", " cats)
-    (List.length (Telemetry.counters reg));
-  0
+  if leaves = [] then begin
+    prerr_endline "trace: no span reached the trace";
+    1
+  end
+  else begin
+    (try write_file out_path (Tr.export_chrome tr)
+     with Sys_error msg ->
+       Printf.eprintf "cannot write trace: %s\n" msg;
+       exit 2);
+    Printf.printf
+      "wrote %s: %d spans across subsystems [%s], %d dropped\n\
+       (open in https://ui.perfetto.dev or chrome://tracing)\n"
+      out_path (List.length leaves) (String.concat ", " cats) (Tr.dropped ());
+    0
+  end
 
 let metrics app_name json =
-  let reg = with_telemetry (fun () -> run_traced_workload app_name) in
+  let reg =
+    with_telemetry (fun () -> run_traced_workload Telemetry.Trace.none app_name)
+  in
   if json then print_endline (Telemetry.metrics_json reg)
   else print_string (Telemetry.metrics_snapshot reg);
   0
@@ -814,16 +837,9 @@ let control seed shards clients duration applets partitions partition_len
   let c = w.Dvm.Chaos.w_chaotic in
   let ok = Dvm.Chaos.control_ok w in
   if json then begin
-    let escape s =
-      String.concat ""
-        (List.map
-           (function
-             | '"' -> "\\\"" | '\\' -> "\\\\" | '\n' -> "\\n"
-             | c -> String.make 1 c)
-           (List.init (String.length s) (String.get s)))
-    in
     let slist l =
-      String.concat "," (List.map (fun s -> Printf.sprintf {|"%s"|} (escape s)) l)
+      String.concat ","
+        (List.map (fun s -> Printf.sprintf {|"%s"|} (Telemetry.json_escape s)) l)
     in
     let ilist l = String.concat "," (List.map string_of_int l) in
     Printf.printf
@@ -1034,9 +1050,10 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace"
        ~doc:
-         "Run a workload with telemetry enabled and export a Chrome \
-          trace_event JSON (loadable in Perfetto) with spans from the \
-          simulator, proxy pipeline, cache and client VM")
+         "Run a workload with telemetry enabled and export its trace as \
+          Chrome trace_event JSON (loadable in Perfetto): spans from the \
+          simulator, proxy pipeline and cache on a simulated-time \
+          process, the client VM's on a host-time process")
     Term.(const trace $ app_arg $ out)
 
 let metrics_cmd =

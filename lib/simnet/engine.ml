@@ -190,16 +190,8 @@ let run_inner ?until t =
     let prev_sim = Telemetry.sim_clock reg in
     Telemetry.set_sim_clock reg (Some (fun () -> t.now));
     let sim0 = t.now in
-    let wall0 = Int64.of_float (Unix.gettimeofday () *. 1e6) in
     let finish () =
-      let sim_elapsed = Int64.sub t.now sim0 in
-      let wall_elapsed =
-        Int64.sub (Int64.of_float (Unix.gettimeofday () *. 1e6)) wall0
-      in
-      Telemetry.Global.add "simnet.virtual_us" sim_elapsed;
-      if Int64.compare wall_elapsed 0L > 0 then
-        Telemetry.Global.set_gauge "simnet.virtual_wall_ratio_x1000"
-          (Int64.div (Int64.mul sim_elapsed 1000L) wall_elapsed);
+      Telemetry.Global.add "simnet.virtual_us" (Int64.sub t.now sim0);
       Telemetry.set_sim_clock reg prev_sim
     in
     match

@@ -1,13 +1,13 @@
-(* System telemetry: spans, counters and latency histograms with a
-   global registry, a near-zero-cost disabled path, and two exporters —
-   a Chrome trace_event JSON stream (loadable in Perfetto / about:tracing)
-   and a plain-text metrics snapshot.
+(* System telemetry: counters, gauges and latency histograms with a
+   global registry and a near-zero-cost disabled path, plus
+   [with_span], which times a region and hands it to the one span
+   store, the distributed-trace collector ([Trace]).
 
-   Spans are keyed to two timelines at once: the wall clock (what the
-   process actually spent) and, when a simulation is running, the
-   Simnet engine's virtual clock (injected via [set_sim_clock], so
-   telemetry never depends on the simulator). Every operation on a
-   disabled registry returns after a single [enabled] flag check. *)
+   A span is timed on the Simnet engine's virtual clock while a
+   simulation is running (injected via [set_sim_clock], so telemetry
+   never depends on the simulator) and on the wall clock otherwise.
+   Every operation on a disabled registry returns after a single
+   [enabled] flag check. *)
 
 type clock = unit -> int64
 
@@ -81,46 +81,25 @@ type hist_stats = {
   p99_us : int64;
 }
 
-(* --- Spans. --- *)
-
-type span = {
-  sp_id : int;
-  sp_name : string;
-  sp_cat : string;
-  sp_depth : int; (* nesting depth at entry; 0 = top level *)
-  sp_wall_start : int64; (* µs *)
-  sp_wall_end : int64;
-  sp_sim_start : int64 option; (* simulated µs, when a sim clock is set *)
-  sp_sim_end : int64 option;
-  sp_args : (string * string) list;
-}
-
 (* --- Capture/replay tapes. ---
 
    A tape is the recorded sequence of telemetry effects some
    computation performed: counter adds, gauge sets, histogram
-   observations and span open/close brackets, in order. Replaying a
-   tape re-performs those effects against the registry's *live* state
-   — fresh span ids, current clocks, the ambient distributed-trace
-   scope — so a memoized computation can skip the work while leaving
-   every aggregate (counts, sums, span totals, trace leaves) exactly
-   as a real run would have. Counter/gauge/observe values are
-   re-applied verbatim; span timestamps are taken live, which under a
-   simulation clock reproduces the original durations exactly (the
-   captured computation was synchronous, so both elapse zero virtual
-   time). *)
+   observations and span completions, in order. Replaying a tape
+   re-performs those effects against the registry's *live* state — the
+   current clock, the ambient distributed-trace scope — so a memoized
+   computation can skip the work while leaving every aggregate (counts,
+   sums, trace leaves) exactly as a real run would have. Counter, gauge
+   and observe values are re-applied verbatim; a replayed span becomes
+   a zero-length leaf at the live clock reading, which under a
+   simulation clock is exactly the original (the captured computation
+   was synchronous, so it elapsed zero virtual time). *)
 
 type op =
   | Op_add of string * int64
   | Op_set_gauge of string * int64
   | Op_observe of string * int64
-  | Op_span_open of {
-      o_name : string;
-      o_cat : string;
-      o_args : (string * string) list;
-      o_hist : bool; (* the original span carried ?observe_hist *)
-    }
-  | Op_span_close
+  | Op_leaf of string * (string * string) list (* name, args incl. "cat" *)
 
 type tape = op list (* in execution order *)
 
@@ -131,18 +110,12 @@ type t = {
   counters : (string, int64 ref) Hashtbl.t;
   gauges : (string, int64 ref) Hashtbl.t;
   histograms : (string, hist) Hashtbl.t;
-  mutable spans : span list; (* completion order, newest first *)
-  mutable span_count : int;
-  mutable dropped : int;
-  max_spans : int;
-  mutable depth : int;
-  mutable next_id : int;
   mutable tape_rev : op list ref option; (* active capture, ops newest first *)
 }
 
 let wall_now () = Int64.of_float (Unix.gettimeofday () *. 1e6)
 
-let create ?(max_spans = 200_000) () =
+let create () =
   {
     enabled = false;
     wall_clock = wall_now;
@@ -150,12 +123,6 @@ let create ?(max_spans = 200_000) () =
     counters = Hashtbl.create 64;
     gauges = Hashtbl.create 16;
     histograms = Hashtbl.create 32;
-    spans = [];
-    span_count = 0;
-    dropped = 0;
-    max_spans;
-    depth = 0;
-    next_id = 0;
     tape_rev = None;
   }
 
@@ -168,12 +135,7 @@ let disable t = t.enabled <- false
 let reset t =
   Hashtbl.reset t.counters;
   Hashtbl.reset t.gauges;
-  Hashtbl.reset t.histograms;
-  t.spans <- [];
-  t.span_count <- 0;
-  t.dropped <- 0;
-  t.depth <- 0;
-  t.next_id <- 0
+  Hashtbl.reset t.histograms
 
 let set_wall_clock t c = t.wall_clock <- c
 let set_sim_clock t c = t.sim_clock <- c
@@ -262,87 +224,34 @@ let histograms t =
 
 (* --- Spans. --- *)
 
-let record_span t sp =
-  if t.span_count >= t.max_spans then t.dropped <- t.dropped + 1
-  else begin
-    t.spans <- sp :: t.spans;
-    t.span_count <- t.span_count + 1
+(* A completed span becomes a leaf of the ambient trace scope, if any.
+   An active capture records it either way: the replay may run under a
+   scope the capture did not. *)
+let leaf t ~cat ~args name ~start_us ~end_us =
+  if t.tape_rev <> None || Trace.current () <> None then begin
+    let args = ("cat", cat) :: args in
+    tape_op t (Op_leaf (name, args));
+    Trace.leaf ~args ~name ~start_us ~end_us ()
   end
 
 let with_span ?(cat = "app") ?(args = []) ?observe_hist t name f =
   if not t.enabled then f ()
-  else if
-    (* Saturated span buffer, nothing else watching: the span would be
-       dropped on the floor anyway, so skip both clock reads and the
-       record allocation. Everything observable — the depth counter and
-       the dropped tally — still updates. *)
-    t.span_count >= t.max_spans && observe_hist = None && Trace.current () = None
-  then begin
-    tape_op t (Op_span_open { o_name = name; o_cat = cat; o_args = args; o_hist = false });
-    t.next_id <- t.next_id + 1;
-    let depth = t.depth in
-    t.depth <- depth + 1;
-    let finish () =
-      t.depth <- depth;
-      t.dropped <- t.dropped + 1;
-      tape_op t Op_span_close
-    in
-    match f () with
-    | v ->
-      finish ();
-      v
-    | exception e ->
-      finish ();
-      raise e
-  end
   else begin
-    tape_op t
-      (Op_span_open
-         { o_name = name; o_cat = cat; o_args = args; o_hist = observe_hist <> None });
-    let id = t.next_id in
-    t.next_id <- id + 1;
-    let depth = t.depth in
-    t.depth <- depth + 1;
-    let wall_start = t.wall_clock () in
-    let sim_start = Option.map (fun c -> c ()) t.sim_clock in
+    let wall0 = t.wall_clock () in
+    let sim0 = Option.map (fun c -> c ()) t.sim_clock in
     let finish () =
-      t.depth <- depth;
-      let wall_end = t.wall_clock () in
-      let sim_end = Option.map (fun c -> c ()) t.sim_clock in
-      record_span t
-        {
-          sp_id = id;
-          sp_name = name;
-          sp_cat = cat;
-          sp_depth = depth;
-          sp_wall_start = wall_start;
-          sp_wall_end = wall_end;
-          sp_sim_start = sim_start;
-          sp_sim_end = sim_end;
-          sp_args = args;
-        };
-      (* When a sim clock is attached the histogram gets the simulated
-         duration: benches must never mix virtual and host time in one
-         distribution, or seeded runs stop being reproducible. *)
-      (match observe_hist with
-      | Some hname -> (
-        match (sim_start, sim_end) with
-        | Some s0, Some s1 -> observe t hname (Int64.sub s1 s0)
-        | _ -> observe t hname (Int64.sub wall_end wall_start))
-      | None -> ());
-      (* If a distributed-trace scope is ambient, the span doubles as a
-         leaf of that request's cross-node tree (sim timestamps when
-         available, so it lines up with the wire spans). *)
-      (match Trace.current () with
-      | None -> ()
-      | Some _ ->
-        let t0, t1 =
-          match (sim_start, sim_end) with
-          | Some s0, Some s1 -> (s0, s1)
-          | _ -> (wall_start, wall_end)
-        in
-        Trace.leaf ~args:(("cat", cat) :: args) ~name ~start_us:t0 ~end_us:t1 ());
-      tape_op t Op_span_close
+      let wall1 = t.wall_clock () in
+      let sim1 = Option.map (fun c -> c ()) t.sim_clock in
+      (* Simulated time when a sim clock covers the whole span: benches
+         must never mix virtual and host time in one distribution, or
+         seeded runs stop being reproducible. *)
+      let start_us, end_us =
+        match (sim0, sim1) with
+        | Some s0, Some s1 -> (s0, s1)
+        | _ -> (wall0, wall1)
+      in
+      Option.iter (fun h -> observe t h (Int64.sub end_us start_us)) observe_hist;
+      leaf t ~cat ~args name ~start_us ~end_us
     in
     match f () with
     | v ->
@@ -374,193 +283,28 @@ let capture t f =
       finish ();
       raise e)
 
-type replay_frame =
-  | Rf_saturated of int (* saved depth *)
-  | Rf_live of {
-      rf_id : int;
-      rf_depth : int;
-      rf_name : string;
-      rf_cat : string;
-      rf_args : (string * string) list;
-      rf_wall_start : int64;
-      rf_sim_start : int64 option;
-    }
-
 let replay t tape =
-  if t.enabled then begin
-    let stack = ref [] in
+  if t.enabled then
     List.iter
-      (fun op ->
-        match op with
+      (function
         | Op_add (n, v) -> add t n v
         | Op_set_gauge (n, v) -> set_gauge t n v
         | Op_observe (n, v) -> observe t n v
-        | Op_span_open ({ o_name; o_cat; o_args; o_hist } as o) ->
-          tape_op t (Op_span_open o);
-          (* Mirror with_span's entry decision against the *live*
-             registry state, so a replayed span saturates (or not)
-             exactly as a re-run would. *)
-          if
-            t.span_count >= t.max_spans && (not o_hist)
-            && Trace.current () = None
-          then begin
-            t.next_id <- t.next_id + 1;
-            let depth = t.depth in
-            t.depth <- depth + 1;
-            stack := Rf_saturated depth :: !stack
-          end
-          else begin
-            let id = t.next_id in
-            t.next_id <- id + 1;
-            let depth = t.depth in
-            t.depth <- depth + 1;
-            stack :=
-              Rf_live
-                {
-                  rf_id = id;
-                  rf_depth = depth;
-                  rf_name = o_name;
-                  rf_cat = o_cat;
-                  rf_args = o_args;
-                  rf_wall_start = t.wall_clock ();
-                  rf_sim_start = Option.map (fun c -> c ()) t.sim_clock;
-                }
-              :: !stack
-          end
-        | Op_span_close -> (
-          tape_op t Op_span_close;
-          match !stack with
-          | [] -> () (* unbalanced tape; nothing sensible to close *)
-          | Rf_saturated depth :: rest ->
-            stack := rest;
-            t.depth <- depth;
-            t.dropped <- t.dropped + 1
-          | Rf_live f :: rest ->
-            stack := rest;
-            t.depth <- f.rf_depth;
-            let wall_end = t.wall_clock () in
-            let sim_end = Option.map (fun c -> c ()) t.sim_clock in
-            record_span t
-              {
-                sp_id = f.rf_id;
-                sp_name = f.rf_name;
-                sp_cat = f.rf_cat;
-                sp_depth = f.rf_depth;
-                sp_wall_start = f.rf_wall_start;
-                sp_wall_end = wall_end;
-                sp_sim_start = f.rf_sim_start;
-                sp_sim_end = sim_end;
-                sp_args = f.rf_args;
-              };
-            (* The captured span's ?observe_hist observation replays as
-               its own Op_observe; only the distributed-trace leaf is
-               re-emitted live, under whatever scope is ambient now. *)
-            (match Trace.current () with
-            | None -> ()
-            | Some _ ->
-              let t0, t1 =
-                match (f.rf_sim_start, sim_end) with
-                | Some s0, Some s1 -> (s0, s1)
-                | _ -> (f.rf_wall_start, wall_end)
-              in
-              Trace.leaf
-                ~args:(("cat", f.rf_cat) :: f.rf_args)
-                ~name:f.rf_name ~start_us:t0 ~end_us:t1 ())))
+        | Op_leaf (name, args) as op ->
+          (* The span's ?observe_hist observation replays as its own
+             Op_observe; only the leaf is re-emitted, live. *)
+          tape_op t op;
+          if Trace.current () <> None then begin
+            let at =
+              match t.sim_clock with Some c -> c () | None -> t.wall_clock ()
+            in
+            Trace.leaf ~args ~name ~start_us:at ~end_us:at ()
+          end)
       tape
-  end
 
-let spans t = List.rev t.spans
-let span_count t = t.span_count
-let dropped_spans t = t.dropped
-
-(* --- Chrome trace_event exporter. ---
-
-   One JSON event per line inside a JSON array, which both Perfetto
-   and chrome://tracing load directly. Spans become complete ("X")
-   events on pid 1 (wall-clock timeline) and, when simulated times
-   were captured, duplicate "X" events on pid 2 (virtual timeline).
-   Counters are emitted as a final "C" sample. *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_args args =
-  "{"
-  ^ String.concat ","
-      (List.map
-         (fun (k, v) ->
-           Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-         args)
-  ^ "}"
-
-let chrome_trace t =
-  let events = ref [] in
-  let emit e = events := e :: !events in
-  emit
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"wall clock\"}}";
-  emit
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":1,\"args\":{\"name\":\"simulated time\"}}";
-  let all = spans t in
-  (* Rebase wall timestamps so the trace starts near t=0. *)
-  let base =
-    List.fold_left
-      (fun acc sp -> if Int64.compare sp.sp_wall_start acc < 0 then sp.sp_wall_start else acc)
-      Int64.max_int all
-  in
-  let base = if Int64.equal base Int64.max_int then 0L else base in
-  let last_ts = ref 0L in
-  List.iter
-    (fun sp ->
-      let ts = Int64.sub sp.sp_wall_start base in
-      let dur =
-        let d = Int64.sub sp.sp_wall_end sp.sp_wall_start in
-        if Int64.compare d 1L < 0 then 1L else d
-      in
-      if Int64.compare ts !last_ts > 0 then last_ts := ts;
-      let args =
-        sp.sp_args
-        @ (match sp.sp_sim_start with
-          | Some s -> [ ("sim_ts_us", Int64.to_string s) ]
-          | None -> [])
-        @ [ ("depth", string_of_int sp.sp_depth) ]
-      in
-      emit
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%Ld,\"dur\":%Ld,\"pid\":1,\"tid\":1,\"args\":%s}"
-           (json_escape sp.sp_name) (json_escape sp.sp_cat) ts dur
-           (json_args args));
-      match (sp.sp_sim_start, sp.sp_sim_end) with
-      | Some s0, Some s1 ->
-        let sdur = Int64.sub s1 s0 in
-        let sdur = if Int64.compare sdur 1L < 0 then 1L else sdur in
-        emit
-          (Printf.sprintf
-             "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%Ld,\"dur\":%Ld,\"pid\":2,\"tid\":1,\"args\":%s}"
-             (json_escape sp.sp_name) (json_escape sp.sp_cat) s0 sdur
-             (json_args sp.sp_args))
-      | _ -> ())
-    all;
-  List.iter
-    (fun (name, v) ->
-      emit
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%Ld,\"pid\":1,\"tid\":1,\"args\":{\"value\":%Ld}}"
-           (json_escape name) !last_ts v))
-    (counters t);
-  "[\n" ^ String.concat ",\n" (List.rev !events) ^ "\n]\n"
+(* The one JSON string escaper; it lives in Flight, at the bottom of
+   the library's dependency order, so every exporter can share it. *)
+let json_escape = Flight.esc
 
 (* JSON fragment of the latency histograms: [{"name":...,"count":...,
    "p50_us":...,...}, ...]. Benches embed this in their JSON output so
@@ -620,8 +364,6 @@ let metrics_snapshot t =
           s.min_us s.p50_us s.p95_us s.p99_us s.max_us)
       hs
   end;
-  pf "spans: %d recorded%s\n" t.span_count
-    (if t.dropped > 0 then Printf.sprintf " (%d dropped)" t.dropped else "");
   Buffer.contents b
 
 (* --- Shortcuts over the global default registry — what hot-path

@@ -1,17 +1,19 @@
-(** System telemetry: spans, counters and log-scale latency histograms.
+(** System telemetry: counters, gauges, latency histograms and timed
+    spans.
 
     A registry collects three kinds of signal:
 
-    - {e spans} — nested timed regions keyed to both the wall clock and
-      (when one is injected) the simulation's virtual clock;
     - {e counters} and {e gauges} — monotonic / last-value integers;
-    - {e histograms} — log₂-bucketed latency distributions in µs.
+    - {e histograms} — log₂-bucketed latency distributions in µs;
+    - {e spans} — timed regions ({!with_span}). The registry keeps no
+      span store of its own: a span feeds an optional histogram and
+      becomes a leaf of the ambient {!Trace} scope, the one span model
+      and Chrome exporter.
 
     Registries are disabled by default; every operation on a disabled
     registry returns after a single flag check, so instrumentation can
-    stay in hot paths permanently. Two exporters: Chrome
-    [trace_event] JSON (one event per line, loads in Perfetto and
-    chrome://tracing) and a plain-text metrics snapshot.
+    stay in hot paths permanently. Exporters: a plain-text metrics
+    snapshot and its JSON twin.
 
     Most call sites use {!Global}, the shortcuts over the process-wide
     {!default} registry. *)
@@ -21,9 +23,8 @@ type t
 type clock = unit -> int64
 (** Microseconds. *)
 
-val create : ?max_spans:int -> unit -> t
-(** A fresh, disabled registry. [max_spans] bounds span memory;
-    completions past the cap are counted in {!dropped_spans}. *)
+val create : unit -> t
+(** A fresh, disabled registry. *)
 
 val default : t
 (** The process-wide registry used by {!Global} and by the library
@@ -73,18 +74,6 @@ val histograms : t -> (string * hist_stats) list
 
 (** {1 Spans} *)
 
-type span = {
-  sp_id : int;
-  sp_name : string;
-  sp_cat : string;  (** subsystem, e.g. "simnet", "pipeline", "cache" *)
-  sp_depth : int;  (** nesting depth at entry; 0 = top level *)
-  sp_wall_start : int64;
-  sp_wall_end : int64;
-  sp_sim_start : int64 option;
-  sp_sim_end : int64 option;
-  sp_args : (string * string) list;
-}
-
 val with_span :
   ?cat:string ->
   ?args:(string * string) list ->
@@ -93,28 +82,29 @@ val with_span :
   string ->
   (unit -> 'a) ->
   'a
-(** Run the thunk inside a span; the span is recorded even if the
-    thunk raises. [observe_hist] additionally records the duration
-    into that histogram — the {e simulated} duration when a sim clock
-    is attached (so bench histograms never mix virtual and host time),
-    the wall duration otherwise. If a {!Trace} scope is ambient the
-    span is also attached as a leaf of that distributed trace. On a
-    disabled registry this is exactly [f ()]. *)
+(** Time the thunk, also when it raises. The span is timed on the
+    sim clock when one is attached at both ends (so bench histograms
+    never mix virtual and host time), on the wall clock otherwise.
+    [observe_hist] records the duration into that histogram. If a
+    {!Trace} scope is ambient the span becomes a leaf of it, with
+    [("cat", cat)] prepended to [args]. On a disabled registry this is
+    exactly [f ()]. *)
 
 (** {1 Capture and replay}
 
     Memoization support: a [tape] is the recorded sequence of
     telemetry effects (counter adds, gauge sets, histogram
-    observations, span brackets) a computation performed. Replaying
+    observations, span completions) a computation performed. Replaying
     the tape re-performs those effects against the registry's live
-    state — fresh span ids and clock readings, the currently ambient
-    {!Trace} scope — so a caller that cached the computation's result
-    can skip the work while every aggregate a bench pins (counter and
-    histogram values, span counts, trace leaves) comes out exactly as
-    a real re-run would have produced. Counter/gauge/observation
-    values are re-applied verbatim; under a simulation clock this is
-    exact, because the captured computation was synchronous and both
-    runs elapse zero virtual time. *)
+    state — the current clock, the currently ambient {!Trace} scope —
+    so a caller that cached the computation's result can skip the work
+    while every aggregate a bench pins (counter and histogram values,
+    trace leaves) comes out exactly as a real re-run would have
+    produced. Counter/gauge/observation values are re-applied
+    verbatim; a replayed span is a zero-length leaf at the live clock
+    reading. Under a simulation clock this is exact, because the
+    captured computation was synchronous and both runs elapse zero
+    virtual time. *)
 
 type tape
 
@@ -130,19 +120,7 @@ val replay : t -> tape -> unit
 (** Re-perform a captured tape's effects. A no-op on a disabled
     registry. *)
 
-val spans : t -> span list
-(** In completion order (inner spans precede the spans that contain
-    them). *)
-
-val span_count : t -> int
-val dropped_spans : t -> int
-
 (** {1 Exporters} *)
-
-val chrome_trace : t -> string
-(** The whole registry as Chrome [trace_event] JSON: spans as complete
-    ("X") events on pid 1 (wall clock) and pid 2 (simulated time),
-    counters as trailing "C" samples. One event per line. *)
 
 val metrics_snapshot : t -> string
 (** Human-readable table of counters, gauges and histograms. *)
@@ -160,7 +138,8 @@ val metrics_json : t -> string
     [dvmctl metrics --json] and the [BENCH_*.json] writer. *)
 
 val json_escape : string -> string
-(** Exposed for tests. *)
+(** The one JSON string escaper ([Flight] and [Trace] share it): quotes,
+    backslashes and every control byte. *)
 
 (** {1 Global shortcuts} over {!default} — the form instrumentation
     call sites use. *)

@@ -136,8 +136,7 @@ let finish = function
            (Int64.sub r.s_end r.s_start))
     end
 
-let event ?(args = []) ctx ~node ~kind detail =
-  ignore args;
+let event ctx ~node ~kind detail =
   if live ctx then begin
     if !span_count_ + !event_count_ >= !max_records then incr dropped_
     else begin

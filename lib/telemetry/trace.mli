@@ -38,6 +38,8 @@ val reset : unit -> unit
 val set_clock : (unit -> int64) -> unit
 val current_clock : unit -> unit -> int64
 val set_max_records : int -> unit
+(** Cap on spans plus events held (default 500 k, at least 1); records
+    past it are counted in {!dropped}, not stored. *)
 
 (** {1 Producing} *)
 
@@ -51,8 +53,7 @@ val start : ?args:(string * string) list -> ctx -> node:string -> string -> span
 val ctx_of : span -> ctx
 val finish : span -> unit
 
-val event :
-  ?args:(string * string) list -> ctx -> node:string -> kind:string -> string -> unit
+val event : ctx -> node:string -> kind:string -> string -> unit
 (** Attach a reason event — [kind] is the stable machine name (e.g.
     ["admission.shed_deadline"]), the string argument free-form
     detail. *)

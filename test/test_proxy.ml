@@ -263,7 +263,20 @@ let test_pipeline_memo_transparent () =
       List.map
         (fun (k, (s : Telemetry.hist_stats)) -> (k, s.Telemetry.count, s.Telemetry.sum_us))
         (Telemetry.histograms reg),
-      Telemetry.span_count reg )
+      List.filter_map
+        (fun s ->
+          if s.Telemetry.Trace.s_parent <> 0 then Some s.Telemetry.Trace.s_name
+          else None)
+        (Telemetry.Trace.spans ()) )
+  in
+  (* Both runs go under a live trace scope, so every span lands as a
+     leaf: the hit must replay the miss's leaves. *)
+  let traced f =
+    Telemetry.Trace.reset ();
+    Telemetry.Trace.enable ();
+    let root = Telemetry.Trace.root ~node:"proxy" "test" in
+    Fun.protect ~finally:Telemetry.Trace.disable (fun () ->
+        Telemetry.Trace.scope (Telemetry.Trace.ctx_of root) ~node:"proxy" f)
   in
   Telemetry.reset reg;
   Telemetry.enable reg;
@@ -272,13 +285,19 @@ let test_pipeline_memo_transparent () =
      synchronous CPU work) rather than nondeterministic host time. *)
   let saved_sim = Telemetry.sim_clock reg in
   Telemetry.set_sim_clock reg (Some (fun () -> 0L));
-  let plain1 = Proxy.Pipeline.run fs bytes in
-  let plain2 = Proxy.Pipeline.run fs bytes in
+  let plain1, plain2 =
+    traced (fun () ->
+        let p1 = Proxy.Pipeline.run fs bytes in
+        (p1, Proxy.Pipeline.run fs bytes))
+  in
   let reference = snapshot () in
   Telemetry.reset reg;
   let memo = Proxy.Pipeline.Memo.create () in
-  let memo1 = Proxy.Pipeline.run ~memo fs bytes in
-  let memo2 = Proxy.Pipeline.run ~memo fs bytes in
+  let memo1, memo2 =
+    traced (fun () ->
+        let m1 = Proxy.Pipeline.run ~memo fs bytes in
+        (m1, Proxy.Pipeline.run ~memo fs bytes))
+  in
   let memoized = snapshot () in
   Telemetry.set_sim_clock reg saved_sim;
   Telemetry.disable reg;
@@ -299,7 +318,8 @@ let test_pipeline_memo_transparent () =
     (Alcotest.list
        (Alcotest.triple Alcotest.string Alcotest.int Alcotest.int64))
     "identical histograms" rh mh;
-  check Alcotest.int "identical span count" rs ms;
+  check Alcotest.bool "spans became leaves" true (rs <> []);
+  check (Alcotest.list Alcotest.string) "identical trace leaves" rs ms;
   (* a different filter stack bypasses the pinned memo instead of
      serving the wrong entry *)
   let other = Proxy.Pipeline.run ~memo [ Rewrite.Filter.identity ] bytes in

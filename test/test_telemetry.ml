@@ -1,8 +1,10 @@
-(* Tests for the telemetry registry: span nesting and ordering, counter
-   and histogram arithmetic, the Chrome trace exporter's JSON escaping,
-   and the disabled-mode no-op contract. *)
+(* Tests for the telemetry registry: spans as leaves of the ambient
+   trace scope, counter and histogram arithmetic, the Chrome trace
+   exporter's JSON escaping, and the disabled-mode no-op contract. *)
 
 let check = Alcotest.check
+
+module Trace = Telemetry.Trace
 
 (* A deterministic wall clock: each registry under test gets its own
    counter that advances a fixed step per reading. *)
@@ -18,6 +20,21 @@ let fresh () =
   Telemetry.set_wall_clock t (fake_clock ());
   Telemetry.enable t;
   t
+
+(* Run [f] under a live trace scope on a fresh collector; return its
+   result and the leaves attached under the root, in completion
+   order. *)
+let in_scope f =
+  Trace.reset ();
+  Trace.enable ();
+  let root = Trace.root ~node:"n" "root" in
+  let r =
+    Fun.protect ~finally:Trace.disable (fun () ->
+        Trace.scope (Trace.ctx_of root) ~node:"n" f)
+  in
+  (r, List.filter (fun s -> s.Trace.s_parent <> 0) (Trace.spans ()))
+
+let cat_of s = List.assoc_opt "cat" s.Trace.s_args
 
 let test_counters () =
   let t = fresh () in
@@ -58,36 +75,44 @@ let test_histogram () =
 
 let test_span_nesting () =
   let t = fresh () in
-  let r =
-    Telemetry.with_span t "outer" (fun () ->
-        Telemetry.with_span t ~cat:"sub" "inner" (fun () -> ());
-        17)
+  let r, leaves =
+    in_scope (fun () ->
+        Telemetry.with_span t "outer" (fun () ->
+            Telemetry.with_span t ~cat:"sub" "inner" (fun () -> ());
+            17))
   in
   check Alcotest.int "thunk value" 17 r;
-  (* Completion order: inner closes first. *)
-  match Telemetry.spans t with
+  (* Completion order: inner closes first. Both hang off the scope's
+     span; the time intervals carry the nesting. *)
+  match leaves with
   | [ inner; outer ] ->
-    check Alcotest.string "inner name" "inner" inner.Telemetry.sp_name;
-    check Alcotest.string "outer name" "outer" outer.Telemetry.sp_name;
-    check Alcotest.string "inner cat" "sub" inner.Telemetry.sp_cat;
-    check Alcotest.int "inner depth" 1 inner.Telemetry.sp_depth;
-    check Alcotest.int "outer depth" 0 outer.Telemetry.sp_depth;
+    check Alcotest.string "inner name" "inner" inner.Trace.s_name;
+    check Alcotest.string "outer name" "outer" outer.Trace.s_name;
+    check Alcotest.(option string) "inner cat" (Some "sub") (cat_of inner);
+    check Alcotest.(option string) "default cat" (Some "app") (cat_of outer);
+    check Alcotest.int "same parent" outer.Trace.s_parent inner.Trace.s_parent;
     check Alcotest.bool "inner within outer" true
-      (inner.Telemetry.sp_wall_start >= outer.Telemetry.sp_wall_start
-      && inner.Telemetry.sp_wall_end <= outer.Telemetry.sp_wall_end)
-  | l -> Alcotest.failf "expected 2 spans, got %d" (List.length l)
+      (inner.Trace.s_start >= outer.Trace.s_start
+      && inner.Trace.s_end <= outer.Trace.s_end)
+  | l -> Alcotest.failf "expected 2 leaves, got %d" (List.length l)
 
 let test_span_on_exception () =
   let t = fresh () in
-  (try
-     Telemetry.with_span t "boom" (fun () -> failwith "no")
-   with Failure _ -> ());
-  check Alcotest.int "span recorded despite raise" 1 (Telemetry.span_count t);
-  (* Depth must unwind so later spans are top-level again. *)
-  Telemetry.with_span t "after" (fun () -> ());
-  match List.rev (Telemetry.spans t) with
-  | after :: _ -> check Alcotest.int "depth unwound" 0 after.Telemetry.sp_depth
-  | [] -> Alcotest.fail "no spans"
+  let (), leaves =
+    in_scope (fun () ->
+        (try Telemetry.with_span t "boom" (fun () -> failwith "no")
+         with Failure _ -> ());
+        Telemetry.with_span t "after" (fun () -> ()))
+  in
+  check
+    Alcotest.(list string)
+    "leaf recorded despite raise" [ "boom"; "after" ]
+    (List.map (fun s -> s.Trace.s_name) leaves);
+  match leaves with
+  | boom :: _ ->
+    check Alcotest.bool "raised span closed" true
+      (boom.Trace.s_end >= boom.Trace.s_start)
+  | [] -> Alcotest.fail "no leaves"
 
 let test_span_observe_hist () =
   let t = fresh () in
@@ -120,35 +145,42 @@ let test_span_observe_hist_sim () =
 let test_sim_clock () =
   let t = fresh () in
   let sim = ref 1000L in
-  Telemetry.set_sim_clock t (Some (fun () -> !sim));
-  Telemetry.with_span t "simmed" (fun () -> sim := 2500L);
-  Telemetry.set_sim_clock t None;
-  Telemetry.with_span t "unsimmed" (fun () -> ());
-  match Telemetry.spans t with
+  let (), leaves =
+    in_scope (fun () ->
+        Telemetry.set_sim_clock t (Some (fun () -> !sim));
+        Telemetry.with_span t "simmed" (fun () -> sim := 2500L);
+        Telemetry.set_sim_clock t None;
+        Telemetry.with_span t "unsimmed" (fun () -> ()))
+  in
+  let interval s = (s.Trace.s_start, s.Trace.s_end) in
+  match leaves with
   | [ simmed; unsimmed ] ->
     check
-      (Alcotest.option Alcotest.int64)
-      "sim start" (Some 1000L) simmed.Telemetry.sp_sim_start;
+      Alcotest.(pair int64 int64)
+      "simulated interval" (1000L, 2500L) (interval simmed);
+    (* detached: the wall clock, whose fake readings 0 and 10 went to
+       the simmed span *)
     check
-      (Alcotest.option Alcotest.int64)
-      "sim end" (Some 2500L) simmed.Telemetry.sp_sim_end;
-    check
-      (Alcotest.option Alcotest.int64)
-      "detached" None unsimmed.Telemetry.sp_sim_start
-  | l -> Alcotest.failf "expected 2 spans, got %d" (List.length l)
+      Alcotest.(pair int64 int64)
+      "wall interval" (20L, 30L) (interval unsimmed)
+  | l -> Alcotest.failf "expected 2 leaves, got %d" (List.length l)
 
 let test_json_escape () =
   check Alcotest.string "quotes" {|a\"b|} (Telemetry.json_escape {|a"b|});
   check Alcotest.string "backslash" {|a\\b|} (Telemetry.json_escape {|a\b|});
   check Alcotest.string "newline" {|a\nb|} (Telemetry.json_escape "a\nb");
+  check Alcotest.string "tab" {|a\tb|} (Telemetry.json_escape "a\tb");
+  check Alcotest.string "carriage return" {|a\rb|} (Telemetry.json_escape "a\rb");
   check Alcotest.string "control" {|\u0001|} (Telemetry.json_escape "\x01")
 
-let test_chrome_trace_valid () =
+let test_export_chrome_valid () =
   let t = fresh () in
-  Telemetry.with_span t ~cat:"c1" ~args:[ ("k", "v\"with\nnasties") ]
-    "sp\"an" (fun () -> ());
-  Telemetry.incr t "hits";
-  let s = Telemetry.chrome_trace t in
+  let (), _ =
+    in_scope (fun () ->
+        Telemetry.with_span t ~cat:"c1" ~args:[ ("k", "v\"with\nnasties") ]
+          "sp\"an" (fun () -> ()))
+  in
+  let s = Trace.export_chrome (List.hd (Trace.trace_ids ())) in
   (* Structurally valid JSON array: balanced brackets/braces and every
      quote escaped. A tiny tokenizer beats trusting eyeballs. *)
   let depth = ref 0 and in_str = ref false and esc = ref false in
@@ -174,7 +206,10 @@ let test_chrome_trace_valid () =
     go 0
   in
   check Alcotest.bool "has X event" true (contains {|"ph":"X"|});
-  check Alcotest.bool "escaped name survives" true (contains {|sp\"an|})
+  check Alcotest.bool "escaped name survives" true (contains {|sp\"an|});
+  check Alcotest.bool "escaped args survive" true
+    (contains {|"k":"v\"with\nnasties"|});
+  check Alcotest.bool "category arg" true (contains {|"cat":"c1"|})
 
 let test_metrics_json_valid () =
   let t = fresh () in
@@ -218,22 +253,29 @@ let test_disabled_noop () =
   Telemetry.incr t "c";
   Telemetry.observe t "h" 5L;
   Telemetry.set_gauge t "g" 5L;
-  let r = Telemetry.with_span t "s" (fun () -> 99) in
+  let r, leaves = in_scope (fun () -> Telemetry.with_span t "s" (fun () -> 99)) in
   check Alcotest.int "thunk still runs" 99 r;
-  check Alcotest.int "no spans" 0 (Telemetry.span_count t);
+  check Alcotest.int "no leaves" 0 (List.length leaves);
   check Alcotest.int64 "no counters" 0L (Telemetry.counter_value t "c");
   check (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int64)) "no gauges"
     [] (Telemetry.gauges t);
   check Alcotest.bool "no histograms" true (Telemetry.histograms t = [])
 
-let test_span_cap () =
-  let t = Telemetry.create ~max_spans:3 () in
-  Telemetry.enable t;
-  for i = 1 to 5 do
-    Telemetry.with_span t (Printf.sprintf "s%d" i) (fun () -> ())
-  done;
-  check Alcotest.int "capped" 3 (Telemetry.span_count t);
-  check Alcotest.int "dropped counted" 2 (Telemetry.dropped_spans t)
+let test_record_cap () =
+  let t = fresh () in
+  Trace.set_max_records 3;
+  let (), leaves =
+    Fun.protect
+      ~finally:(fun () -> Trace.set_max_records 500_000)
+      (fun () ->
+        in_scope (fun () ->
+            for i = 1 to 5 do
+              Telemetry.with_span t (Printf.sprintf "s%d" i) (fun () -> ())
+            done))
+  in
+  (* the root holds one of the three records *)
+  check Alcotest.int "capped" 2 (List.length leaves);
+  check Alcotest.int "dropped counted" 3 (Trace.dropped ())
 
 (* --- Quantile accuracy property. ---
 
@@ -299,12 +341,17 @@ let test_capture_replay () =
         Telemetry.set_gauge t "work.gauge" 3L;
         42)
   in
-  let v, tape = Telemetry.capture t work in
-  check Alcotest.int "captured result" 42 v;
-  let tape = match tape with Some tp -> tp | None -> Alcotest.fail "no tape" in
-  let spans_before = Telemetry.span_count t in
-  Telemetry.replay t tape;
-  Telemetry.replay t tape;
+  let tape, leaves =
+    in_scope (fun () ->
+        let v, tape = Telemetry.capture t work in
+        check Alcotest.int "captured result" 42 v;
+        let tape =
+          match tape with Some tp -> tp | None -> Alcotest.fail "no tape"
+        in
+        Telemetry.replay t tape;
+        Telemetry.replay t tape;
+        tape)
+  in
   (* three logical executions: counters, histograms and spans all agree *)
   check Alcotest.int64 "counter x3" 3L (Telemetry.counter_value t "work.count");
   check Alcotest.int64 "inner counter x3" 15L
@@ -319,14 +366,21 @@ let test_capture_replay () =
   (match Telemetry.histogram_stats t "work.us" with
   | Some s -> check Alcotest.int "span hist x3" 3 s.Telemetry.count
   | None -> Alcotest.fail "work.us histogram missing");
-  check Alcotest.int "replay records spans" (spans_before + 2)
-    (Telemetry.span_count t);
-  (* replayed spans get fresh ids *)
-  let ids =
-    List.map (fun sp -> sp.Telemetry.sp_id) (Telemetry.spans t)
-  in
+  check
+    Alcotest.(list (pair string (option string)))
+    "replay re-emits leaves"
+    [ ("work", Some "test"); ("work", Some "test"); ("work", Some "test") ]
+    (List.map (fun s -> (s.Trace.s_name, cat_of s)) leaves);
+  (* replayed leaves get fresh ids *)
+  let ids = List.map (fun s -> s.Trace.s_id) leaves in
   check Alcotest.int "ids distinct" (List.length ids)
     (List.length (List.sort_uniq compare ids));
+  (* a tape captured outside any scope still replays its leaf into one *)
+  let _, unscoped = Telemetry.capture t work in
+  let (), replayed =
+    in_scope (fun () -> Telemetry.replay t (Option.get unscoped))
+  in
+  check Alcotest.int "replayed into a later scope" 1 (List.length replayed);
   (* a nested capture yields no tape (the outer capture owns the ops) *)
   let _, inner =
     fst (Telemetry.capture t (fun () -> Telemetry.capture t work))
@@ -336,7 +390,7 @@ let test_capture_replay () =
   Telemetry.disable t;
   Telemetry.replay t tape;
   Telemetry.enable t;
-  check Alcotest.int64 "disabled replay no-op" 4L
+  check Alcotest.int64 "disabled replay no-op" 6L
     (Telemetry.counter_value t "work.count")
 
 let () =
@@ -359,13 +413,13 @@ let () =
           Alcotest.test_case "observe_hist uses sim duration" `Quick
             test_span_observe_hist_sim;
           Alcotest.test_case "dual timeline" `Quick test_sim_clock;
-          Alcotest.test_case "max_spans cap" `Quick test_span_cap;
+          Alcotest.test_case "set_max_records cap" `Quick test_record_cap;
         ] );
       ( "export",
         [
           Alcotest.test_case "json escaping" `Quick test_json_escape;
           Alcotest.test_case "chrome trace well-formed" `Quick
-            test_chrome_trace_valid;
+            test_export_chrome_valid;
           Alcotest.test_case "metrics json well-formed" `Quick
             test_metrics_json_valid;
         ] );
