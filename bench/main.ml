@@ -713,82 +713,119 @@ let micro () =
   section "Microbenchmarks (wall clock, via Bechamel)";
   let open Bechamel in
   let open Toolkit in
-  let app = lazy (Workloads.Apps.build_small Workloads.Apps.jlex) in
-  let sample_cls = lazy (List.hd (Lazy.force app).Workloads.Appgen.classes) in
-  let sample_bytes =
-    lazy (Bytecode.Encode.class_to_bytes (Lazy.force sample_cls))
-  in
+  (* Inputs: the median and the largest class (by encoded size) of the
+     five full-size apps, each timed through the proxy's layers in
+     pipeline order on the layer's real input. *)
+  let apps = List.map Workloads.Appgen.build Workloads.Apps.all_specs in
+  let all_classes = List.concat_map (fun a -> a.Workloads.Appgen.classes) apps in
   let oracle =
-    lazy (Verifier.Oracle.of_classes (Jvm.Bootlib.boot_classes ()))
+    Verifier.Oracle.of_classes (Jvm.Bootlib.boot_classes () @ all_classes)
   in
+  let by_size =
+    List.map (fun cf -> (Bytecode.Encode.class_to_bytes cf, cf)) all_classes
+    |> List.stable_sort (fun (a, _) (b, _) ->
+           Int.compare (String.length a) (String.length b))
+    |> Array.of_list
+  in
+  let n = Array.length by_size in
+  let classes =
+    [ ("median", by_size.(n / 2)); ("largest", by_size.(n - 1)) ]
+  in
+  let key = Dsig.Sign.make_key ~key_id:"micro" ~secret:"micro-key" in
   let payload = String.make 4096 'x' in
   let spin_cls =
-    lazy
-      (Bytecode.Builder.class_ "Spin"
-         [
-           Bytecode.Builder.meth
-             ~flags:[ Bytecode.Classfile.Public; Bytecode.Classfile.Static ]
-             "f" "()I"
-             [
-               Bytecode.Builder.Const 10000;
-               Bytecode.Builder.Istore 0;
-               Bytecode.Builder.Label "l";
-               Bytecode.Builder.Iload 0;
-               Bytecode.Builder.If_z (Bytecode.Instr.Le, "d");
-               Bytecode.Builder.Inc (0, -1);
-               Bytecode.Builder.Goto "l";
-               Bytecode.Builder.Label "d";
-               Bytecode.Builder.Iload 0;
-               Bytecode.Builder.Ireturn;
-             ];
-         ])
+    Bytecode.Builder.class_ "Spin"
+      [
+        Bytecode.Builder.meth
+          ~flags:[ Bytecode.Classfile.Public; Bytecode.Classfile.Static ]
+          "f" "()I"
+          [
+            Bytecode.Builder.Const 10000;
+            Bytecode.Builder.Istore 0;
+            Bytecode.Builder.Label "l";
+            Bytecode.Builder.Iload 0;
+            Bytecode.Builder.If_z (Bytecode.Instr.Le, "d");
+            Bytecode.Builder.Inc (0, -1);
+            Bytecode.Builder.Goto "l";
+            Bytecode.Builder.Label "d";
+            Bytecode.Builder.Iload 0;
+            Bytecode.Builder.Ireturn;
+          ];
+      ]
   in
-  let tests =
+  (* Each case is a name and a thunk; the result is kept opaque so the
+     work is not optimized away. *)
+  let case name f = (name, fun () -> ignore (Sys.opaque_identity (f ()))) in
+  let layer_cases (label, (bytes, cf)) =
+    let verified =
+      match Verifier.Static_verifier.verify ~oracle cf with
+      | Verifier.Static_verifier.Verified (cf', _) -> cf'
+      | Verifier.Static_verifier.Rejected _ ->
+        failwith ("micro: rejected " ^ label)
+    in
+    let audit cf =
+      Monitor.Instrument.instrument_class
+        ~runtime_class:Monitor.Profiler.auditor_class cf
+    in
+    let audited = audit verified in
+    let signed = Dsig.Sign.sign key audited in
+    let name layer =
+      Printf.sprintf "%s %s (%d B)" layer label (String.length bytes)
+    in
     [
-      Test.make ~name:"md5 4KB"
-        (Staged.stage (fun () -> Dsig.Md5.digest payload));
-      Test.make ~name:"encode class"
-        (Staged.stage (fun () ->
-             Bytecode.Encode.class_to_bytes (Lazy.force sample_cls)));
-      Test.make ~name:"decode class"
-        (Staged.stage (fun () ->
-             Bytecode.Decode.class_of_bytes (Lazy.force sample_bytes)));
-      Test.make ~name:"verify class"
-        (Staged.stage (fun () ->
-             Verifier.Static_verifier.verify ~oracle:(Lazy.force oracle)
-               (Lazy.force sample_cls)));
-      Test.make ~name:"audit-rewrite class"
-        (Staged.stage (fun () ->
-             Monitor.Instrument.instrument_class
-               ~runtime_class:Monitor.Profiler.profiler_class
-               (Lazy.force sample_cls)));
-      Test.make ~name:"interp 30k bytecodes"
-        (Staged.stage (fun () ->
-             let vm = Jvm.Bootlib.fresh_vm () in
-             Jvm.Classreg.register vm.Jvm.Vmstate.reg (Lazy.force spin_cls);
-             Jvm.Interp.invoke vm ~cls:"Spin" ~name:"f" ~desc:"()I" []));
+      case (name "decode") (fun () -> Bytecode.Decode.class_of_bytes bytes);
+      case (name "verify") (fun () ->
+          Verifier.Static_verifier.verify ~oracle cf);
+      case (name "audit-rewrite") (fun () -> audit verified);
+      case (name "sign") (fun () -> Dsig.Sign.sign key audited);
+      case (name "encode") (fun () -> Bytecode.Encode.class_to_bytes signed);
     ]
   in
-  let test = Test.make_grouped ~name:"dvm" ~fmt:"%s %s" tests in
+  let cases =
+    [
+      case "md5 4KB" (fun () -> Dsig.Md5.digest payload);
+      case "interp 30k bytecodes" (fun () ->
+          let vm = Jvm.Bootlib.fresh_vm () in
+          Jvm.Classreg.register vm.Jvm.Vmstate.reg spin_cls;
+          Jvm.Interp.invoke vm ~cls:"Spin" ~name:"f" ~desc:"()I" []);
+    ]
+    @ List.concat_map layer_cases classes
+  in
+  let test =
+    Test.make_grouped ~name:"dvm" ~fmt:"%s %s"
+      (List.map (fun (name, f) -> Test.make ~name (Staged.stage f)) cases)
+  in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
   in
-  let instances = Instance.[ monotonic_clock ] in
+  let instance = Instance.monotonic_clock in
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:(Some 1000) ()
   in
-  let raw = Benchmark.all cfg instances test in
-  let results = List.map (fun i -> Analyze.all ols i raw) instances in
-  let results = Analyze.merge ols instances results in
-  Hashtbl.iter
-    (fun _measure tbl ->
-      Hashtbl.iter
-        (fun name ols ->
+  let results = Analyze.all ols instance (Benchmark.all cfg [ instance ] test) in
+  (* Allocation is counted directly: Bechamel's [minor_allocated] reads
+     [Gc.quick_stat], whose minor-word count only moves at minor
+     collections on OCaml 5, so its per-run regression is noise. *)
+  let minor_words_per_run f =
+    let runs = 200 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to runs do
+      f ()
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int runs
+  in
+  Printf.printf "%-36s %12s %12s\n" "" "ns/run" "minor w/run";
+  List.iter
+    (fun (name, f) ->
+      Printf.printf "%-36s %12s %12.0f\n" name
+        (match Hashtbl.find_opt results ("dvm " ^ name) with
+        | Some ols -> (
           match Analyze.OLS.estimates ols with
-          | Some (t :: _) -> Printf.printf "%-28s %12.1f ns/run\n" name t
-          | Some [] | None -> Printf.printf "%-28s (no estimate)\n" name)
-        tbl)
-    results
+          | Some (t :: _) -> Printf.sprintf "%.1f" t
+          | Some [] | None -> "(none)")
+        | None -> "(none)")
+        (minor_words_per_run f))
+    cases
 
 (* --- Elision: redundant-check elision via proxy-side dataflow. ---
 

@@ -166,58 +166,80 @@ let assemble pool instrs : Instr.t array =
   |> List.map lower
   |> Array.of_list
 
+(* Net stack effect of the arguments and result of the method at pool
+   index [idx] (the receiver is the caller's). *)
+let call_delta pool idx =
+  let mref = Cp.get_methodref pool idx in
+  let sg = Descriptor.method_sig_of_string mref.Cp.ref_desc in
+  (match sg.Descriptor.ret with None -> 0 | Some _ -> 1)
+  - List.length sg.Descriptor.params
+
+(* [calls] memoizes [call_delta] per pool index for one walk ([min_int]
+   = not yet computed): a method calls few distinct methods, many
+   times. *)
+let invoke_delta pool calls idx ~receiver =
+  let d =
+    if idx > 0 && idx < Array.length calls && calls.(idx) <> min_int then
+      calls.(idx)
+    else begin
+      let d = call_delta pool idx in
+      if idx > 0 && idx < Array.length calls then calls.(idx) <- d;
+      d
+    end
+  in
+  if receiver then d - 1 else d
+
+(* Validates the operand as a field reference (every field is one slot
+   wide). *)
+let field_width pool idx =
+  ignore (Cp.get_fieldref pool idx);
+  1
+
+let stack_delta pool calls (i : Instr.t) =
+  match i with
+  | Instr.Nop -> 0
+  | Instr.Iconst _ | Instr.Ldc_str _ | Instr.Aconst_null -> 1
+  | Instr.Iload _ | Instr.Aload _ -> 1
+  | Instr.Istore _ | Instr.Astore _ -> -1
+  | Instr.Iinc _ -> 0
+  | Instr.Iadd | Instr.Isub | Instr.Imul | Instr.Idiv | Instr.Irem
+  | Instr.Ishl | Instr.Ishr | Instr.Iand | Instr.Ior | Instr.Ixor ->
+    -1
+  | Instr.Ineg -> 0
+  | Instr.Dup -> 1
+  | Instr.Dup_x1 -> 1
+  | Instr.Pop -> -1
+  | Instr.Swap -> 0
+  | Instr.Goto _ -> 0
+  | Instr.If_icmp _ | Instr.If_acmp _ -> -2
+  | Instr.If_z _ | Instr.If_null _ -> -1
+  | Instr.Jsr _ -> 1
+  | Instr.Ret _ -> 0
+  | Instr.Tableswitch _ -> -1
+  | Instr.Ireturn | Instr.Areturn -> -1
+  | Instr.Return -> 0
+  | Instr.Getstatic _ -> 1
+  | Instr.Putstatic i -> -field_width pool i
+  | Instr.Getfield _ -> 0
+  | Instr.Putfield i -> -1 - field_width pool i
+  | Instr.Invokevirtual i | Instr.Invokespecial i | Instr.Invokeinterface i ->
+    invoke_delta pool calls i ~receiver:true
+  | Instr.Invokestatic i -> invoke_delta pool calls i ~receiver:false
+  | Instr.New _ -> 1
+  | Instr.Newarray | Instr.Anewarray _ -> 0
+  | Instr.Arraylength -> 0
+  | Instr.Iaload | Instr.Aaload -> -1
+  | Instr.Iastore | Instr.Aastore -> -3
+  | Instr.Athrow -> -1
+  | Instr.Checkcast _ -> 0
+  | Instr.Instanceof _ -> 0
+  | Instr.Monitorenter | Instr.Monitorexit -> -1
+
 (* Conservative upper bound on operand-stack height: accumulate the
    per-instruction stack deltas along the instruction list, taking the
    running maximum, and never letting the running height drop below
    zero across merge points. This over-approximates but is always safe
    for code whose true max is what the verifier later computes. *)
-let stack_delta pool (i : Instr.t) =
-  let invoke_delta idx ~receiver =
-    let mref = Cp.get_methodref pool idx in
-    let sg = Descriptor.method_sig_of_string mref.Cp.ref_desc in
-    let pop = List.length sg.Descriptor.params + if receiver then 1 else 0 in
-    let push = match sg.Descriptor.ret with None -> 0 | Some _ -> 1 in
-    (push - pop, pop)
-  in
-  let field_width idx = ignore (Cp.get_fieldref pool idx); 1 in
-  match i with
-  | Instr.Nop -> (0, 0)
-  | Instr.Iconst _ | Instr.Ldc_str _ | Instr.Aconst_null -> (1, 0)
-  | Instr.Iload _ | Instr.Aload _ -> (1, 0)
-  | Instr.Istore _ | Instr.Astore _ -> (-1, 1)
-  | Instr.Iinc _ -> (0, 0)
-  | Instr.Iadd | Instr.Isub | Instr.Imul | Instr.Idiv | Instr.Irem
-  | Instr.Ishl | Instr.Ishr | Instr.Iand | Instr.Ior | Instr.Ixor ->
-    (-1, 2)
-  | Instr.Ineg -> (0, 1)
-  | Instr.Dup -> (1, 1)
-  | Instr.Dup_x1 -> (1, 2)
-  | Instr.Pop -> (-1, 1)
-  | Instr.Swap -> (0, 2)
-  | Instr.Goto _ -> (0, 0)
-  | Instr.If_icmp _ | Instr.If_acmp _ -> (-2, 2)
-  | Instr.If_z _ | Instr.If_null _ -> (-1, 1)
-  | Instr.Jsr _ -> (1, 0)
-  | Instr.Ret _ -> (0, 0)
-  | Instr.Tableswitch _ -> (-1, 1)
-  | Instr.Ireturn | Instr.Areturn -> (-1, 1)
-  | Instr.Return -> (0, 0)
-  | Instr.Getstatic _ -> (1, 0)
-  | Instr.Putstatic i -> (-field_width i, 1)
-  | Instr.Getfield _ -> (0, 1)
-  | Instr.Putfield i -> (-1 - field_width i, 2)
-  | Instr.Invokevirtual i | Instr.Invokespecial i | Instr.Invokeinterface i ->
-    invoke_delta i ~receiver:true
-  | Instr.Invokestatic i -> invoke_delta i ~receiver:false
-  | Instr.New _ -> (1, 0)
-  | Instr.Newarray | Instr.Anewarray _ -> (0, 1)
-  | Instr.Arraylength -> (0, 1)
-  | Instr.Iaload | Instr.Aaload -> (-1, 2)
-  | Instr.Iastore | Instr.Aastore -> (-3, 3)
-  | Instr.Athrow -> (-1, 1)
-  | Instr.Checkcast _ -> (0, 1)
-  | Instr.Instanceof _ -> (0, 1)
-  | Instr.Monitorenter | Instr.Monitorexit -> (-1, 1)
 
 let estimate_max_stack ?(handler_targets = []) pool (code : Instr.t array) =
   (* Depth-first over the CFG, tracking entry heights per instruction;
@@ -226,24 +248,38 @@ let estimate_max_stack ?(handler_targets = []) pool (code : Instr.t array) =
   if n = 0 then 0
   else begin
     let entry = Array.make n (-1) in
+    let calls = Array.make (Array.length pool) min_int in
     let maxh = ref 0 in
     (* Ill-formed code whose stack grows around a loop would make this
        walk diverge; cap the height (the verifier rejects such code
        later on the height mismatch). *)
     let cap = (4 * n) + 64 in
+    (* Branch targets first, then the fall-through successor. *)
     let rec walk idx h =
       if idx >= 0 && idx < n && entry.(idx) < h && h <= cap then begin
         entry.(idx) <- h;
-        let d, need = stack_delta pool code.(idx) in
-        ignore need;
-        let h' = max 0 (h + d) in
-        maxh := max !maxh (max h (h + max 0 d));
-        List.iter (fun s -> walk s h') (Instr.successors idx code.(idx))
+        let i = code.(idx) in
+        let d = stack_delta pool calls i in
+        let h' = Int.max 0 (h + d) in
+        maxh := Int.max !maxh (Int.max h (h + Int.max 0 d));
+        (match i with
+        | Instr.Goto t
+        | Instr.If_icmp (_, t)
+        | Instr.If_z (_, t)
+        | Instr.If_acmp (_, t)
+        | Instr.If_null (_, t)
+        | Instr.Jsr t ->
+          walk t h'
+        | Instr.Tableswitch { targets; default; _ } ->
+          walk default h';
+          Array.iter (fun t -> walk t h') targets
+        | _ -> ());
+        if not (Instr.is_terminator i) then walk (idx + 1) h'
       end
     in
     walk 0 0;
     List.iter (fun t -> walk t 1) handler_targets;
-    max 1 !maxh
+    Int.max 1 !maxh
   end
 
 let estimate_max_locals ~params ~is_static (code : Instr.t array) =
@@ -253,9 +289,9 @@ let estimate_max_locals ~params ~is_static (code : Instr.t array) =
       match i with
       | Instr.Iload n | Instr.Istore n | Instr.Aload n | Instr.Astore n
       | Instr.Iinc (n, _) | Instr.Ret n ->
-        max acc (n + 1)
+        Int.max acc (n + 1)
       | _ -> acc)
-    (max 1 base) code
+    (Int.max 1 base) code
 
 type mdef = {
   md_name : string;

@@ -100,11 +100,13 @@ module Builder = struct
     { entries = Array.make 16 (Utf8 ""); next = 1; index = Hashtbl.create 64 }
 
   let of_pool (pool : entry array) =
-    let b = create () in
     let n = Array.length pool in
-    b.entries <- Array.make (max 16 (2 * n)) (Utf8 "");
-    Array.blit pool 0 b.entries 0 n;
-    b.next <- n;
+    let entries = Array.make (max 16 (2 * n)) (Utf8 "") in
+    Array.blit pool 0 entries 0 n;
+    (* Sized for the pool, so interning a large one never rehashes. *)
+    let b =
+      { entries; next = n; index = Hashtbl.create (Int.max 64 (2 * n)) }
+    in
     for i = 1 to n - 1 do
       (* First occurrence wins, so lookups stay stable. *)
       if not (Hashtbl.mem b.index pool.(i)) then Hashtbl.add b.index pool.(i) i

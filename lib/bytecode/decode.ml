@@ -35,19 +35,17 @@ let decode_cp_entry r =
 (* Decode one instruction; branch operands stay as byte offsets and are
    remapped to indices in a second pass. *)
 let decode_instr r =
-  let u2 () = Io.Reader.u2 r in
-  let u4 () = Io.Reader.u4 r in
   match Io.Reader.u1 r with
   | 0 -> Instr.Nop
   | 1 -> Instr.Iconst (Io.Reader.i4 r)
-  | 2 -> Instr.Ldc_str (u2 ())
+  | 2 -> Instr.Ldc_str (Io.Reader.u2 r)
   | 3 -> Instr.Aconst_null
-  | 4 -> Instr.Iload (u2 ())
-  | 5 -> Instr.Istore (u2 ())
-  | 6 -> Instr.Aload (u2 ())
-  | 7 -> Instr.Astore (u2 ())
+  | 4 -> Instr.Iload (Io.Reader.u2 r)
+  | 5 -> Instr.Istore (Io.Reader.u2 r)
+  | 6 -> Instr.Aload (Io.Reader.u2 r)
+  | 7 -> Instr.Astore (Io.Reader.u2 r)
   | 8 ->
-    let n = u2 () in
+    let n = Io.Reader.u2 r in
     Instr.Iinc (n, Io.Reader.i2 r)
   | 9 -> Instr.Iadd
   | 10 -> Instr.Isub
@@ -64,59 +62,59 @@ let decode_instr r =
   | 21 -> Instr.Dup_x1
   | 22 -> Instr.Pop
   | 23 -> Instr.Swap
-  | 24 -> Instr.Goto (u4 ())
-  | 25 -> Instr.If_icmp (Instr.Eq, u4 ())
-  | 26 -> Instr.If_icmp (Instr.Ne, u4 ())
-  | 27 -> Instr.If_icmp (Instr.Lt, u4 ())
-  | 28 -> Instr.If_icmp (Instr.Ge, u4 ())
-  | 29 -> Instr.If_icmp (Instr.Gt, u4 ())
-  | 30 -> Instr.If_icmp (Instr.Le, u4 ())
-  | 31 -> Instr.If_z (Instr.Eq, u4 ())
-  | 32 -> Instr.If_z (Instr.Ne, u4 ())
-  | 33 -> Instr.If_z (Instr.Lt, u4 ())
-  | 34 -> Instr.If_z (Instr.Ge, u4 ())
-  | 35 -> Instr.If_z (Instr.Gt, u4 ())
-  | 36 -> Instr.If_z (Instr.Le, u4 ())
-  | 37 -> Instr.If_acmp (true, u4 ())
-  | 38 -> Instr.If_acmp (false, u4 ())
-  | 39 -> Instr.If_null (true, u4 ())
-  | 40 -> Instr.If_null (false, u4 ())
-  | 41 -> Instr.Jsr (u4 ())
-  | 42 -> Instr.Ret (u2 ())
+  | 24 -> Instr.Goto (Io.Reader.u4 r)
+  | 25 -> Instr.If_icmp (Instr.Eq, Io.Reader.u4 r)
+  | 26 -> Instr.If_icmp (Instr.Ne, Io.Reader.u4 r)
+  | 27 -> Instr.If_icmp (Instr.Lt, Io.Reader.u4 r)
+  | 28 -> Instr.If_icmp (Instr.Ge, Io.Reader.u4 r)
+  | 29 -> Instr.If_icmp (Instr.Gt, Io.Reader.u4 r)
+  | 30 -> Instr.If_icmp (Instr.Le, Io.Reader.u4 r)
+  | 31 -> Instr.If_z (Instr.Eq, Io.Reader.u4 r)
+  | 32 -> Instr.If_z (Instr.Ne, Io.Reader.u4 r)
+  | 33 -> Instr.If_z (Instr.Lt, Io.Reader.u4 r)
+  | 34 -> Instr.If_z (Instr.Ge, Io.Reader.u4 r)
+  | 35 -> Instr.If_z (Instr.Gt, Io.Reader.u4 r)
+  | 36 -> Instr.If_z (Instr.Le, Io.Reader.u4 r)
+  | 37 -> Instr.If_acmp (true, Io.Reader.u4 r)
+  | 38 -> Instr.If_acmp (false, Io.Reader.u4 r)
+  | 39 -> Instr.If_null (true, Io.Reader.u4 r)
+  | 40 -> Instr.If_null (false, Io.Reader.u4 r)
+  | 41 -> Instr.Jsr (Io.Reader.u4 r)
+  | 42 -> Instr.Ret (Io.Reader.u2 r)
   | 43 ->
     let low = Io.Reader.i4 r in
-    let default = u4 () in
-    let n = u4 () in
+    let default = Io.Reader.u4 r in
+    let n = Io.Reader.u4 r in
     if n > 0xffff then fail "oversized tableswitch (%d targets)" n;
     let targets = Array.make n 0 in
     for k = 0 to n - 1 do
-      targets.(k) <- u4 ()
+      targets.(k) <- Io.Reader.u4 r
     done;
     Instr.Tableswitch { low; targets; default }
   | 44 -> Instr.Ireturn
   | 45 -> Instr.Areturn
   | 46 -> Instr.Return
-  | 47 -> Instr.Getstatic (u2 ())
-  | 48 -> Instr.Putstatic (u2 ())
-  | 49 -> Instr.Getfield (u2 ())
-  | 50 -> Instr.Putfield (u2 ())
-  | 51 -> Instr.Invokevirtual (u2 ())
-  | 52 -> Instr.Invokestatic (u2 ())
-  | 53 -> Instr.Invokespecial (u2 ())
-  | 54 -> Instr.New (u2 ())
+  | 47 -> Instr.Getstatic (Io.Reader.u2 r)
+  | 48 -> Instr.Putstatic (Io.Reader.u2 r)
+  | 49 -> Instr.Getfield (Io.Reader.u2 r)
+  | 50 -> Instr.Putfield (Io.Reader.u2 r)
+  | 51 -> Instr.Invokevirtual (Io.Reader.u2 r)
+  | 52 -> Instr.Invokestatic (Io.Reader.u2 r)
+  | 53 -> Instr.Invokespecial (Io.Reader.u2 r)
+  | 54 -> Instr.New (Io.Reader.u2 r)
   | 55 -> Instr.Newarray
-  | 56 -> Instr.Anewarray (u2 ())
+  | 56 -> Instr.Anewarray (Io.Reader.u2 r)
   | 57 -> Instr.Arraylength
   | 58 -> Instr.Iaload
   | 59 -> Instr.Iastore
   | 60 -> Instr.Aaload
   | 61 -> Instr.Aastore
   | 62 -> Instr.Athrow
-  | 63 -> Instr.Checkcast (u2 ())
-  | 64 -> Instr.Instanceof (u2 ())
+  | 63 -> Instr.Checkcast (Io.Reader.u2 r)
+  | 64 -> Instr.Instanceof (Io.Reader.u2 r)
   | 65 -> Instr.Monitorenter
   | 66 -> Instr.Monitorexit
-  | 67 -> Instr.Invokeinterface (u2 ())
+  | 67 -> Instr.Invokeinterface (Io.Reader.u2 r)
   | op -> fail "unknown opcode %d" op
 
 let decode_code r =
@@ -127,26 +125,41 @@ let decode_code r =
      exactly as they were when the body was carved out with String.sub. *)
   let br = Io.Reader.sub r body_len in
   (* First pass: decode instructions, remembering each one's byte
-     offset in a dense offset -> index map (-1 marks mid-instruction
-     bytes). *)
+     offset. Offsets ascend, so offset -> index is a binary search over
+     one word per instruction (a dense table took one per body byte,
+     straight in the major heap). *)
   let rev_instrs = ref [] in
-  let index_of_offset = Array.make (body_len + 1) (-1) in
-  let idx = ref 0 in
+  let offsets = ref (Array.make 64 0) in
+  let n = ref 0 in
   while not (Io.Reader.at_end br) do
-    index_of_offset.(Io.Reader.pos br) <- !idx;
+    if !n = Array.length !offsets then begin
+      let bigger = Array.make (2 * !n) 0 in
+      Array.blit !offsets 0 bigger 0 !n;
+      offsets := bigger
+    end;
+    !offsets.(!n) <- Io.Reader.pos br;
     let i =
       try decode_instr br
-      with Io.Truncated _ -> fail "truncated instruction at index %d" !idx
+      with Io.Truncated _ -> fail "truncated instruction at index %d" !n
     in
     rev_instrs := i :: !rev_instrs;
-    incr idx
+    incr n
   done;
-  index_of_offset.(body_len) <- !idx;
+  let n = !n and offsets = !offsets in
   let to_index off =
-    if off < 0 || off > body_len || index_of_offset.(off) < 0 then
-      fail "branch target %d not on an instruction boundary" off
-    else index_of_offset.(off)
+    if off = body_len then n
+    else begin
+      let lo = ref 0 and hi = ref n in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if offsets.(mid) < off then lo := mid + 1 else hi := mid
+      done;
+      if !lo < n && offsets.(!lo) = off then !lo
+      else fail "branch target %d not on an instruction boundary" off
+    end
   in
+  (* The list-then-[Array.of_list] build is deliberate: see DESIGN.md,
+     "Pipeline allocation", before filling a preallocated array. *)
   let instrs =
     !rev_instrs |> List.rev_map (Instr.map_targets to_index) |> Array.of_list
   in

@@ -195,8 +195,16 @@ let encode_field w (f : Classfile.field) =
   Io.Writer.str w f.f_name;
   Io.Writer.str w f.f_desc
 
+(* One writer for every encode, reset on entry: a class is encoded into
+   its already-grown buffer, so the only allocation left is the result
+   string (a fresh buffer grew through 512 B .. 4 KB for a typical
+   class, the larger steps straight into the major heap). Encoding
+   never calls back out, so uses cannot nest. *)
+let writer = Io.Writer.create ()
+
 let class_to_bytes (cls : Classfile.t) =
-  let w = Io.Writer.create () in
+  let w = writer in
+  Io.Writer.reset w;
   Io.Writer.u4 w magic;
   Io.Writer.u2 w version_minor;
   Io.Writer.u2 w version_major;

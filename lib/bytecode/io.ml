@@ -46,6 +46,7 @@ module Writer = struct
 
   let raw b s = Buffer.add_string b s
   let contents = Buffer.contents
+  let reset = Buffer.clear
 end
 
 module Reader = struct
@@ -61,27 +62,33 @@ module Reader = struct
   let remaining r = r.limit - r.pos
   let at_end r = remaining r = 0
 
-  let need r n what =
-    if remaining r < n then
-      raise
-        (Truncated
-           (Printf.sprintf "%s: need %d bytes at %d" what n (r.pos - r.off)))
+  let truncated r n what =
+    raise
+      (Truncated
+         (Printf.sprintf "%s: need %d bytes at %d" what n (r.pos - r.off)))
+  [@@inline never]
+
+  (* The readers check the slice bound once and then read the bytes
+     directly: [limit] never exceeds the string's length. *)
+  let need r n what = if r.limit - r.pos < n then truncated r n what
 
   let u1 r =
-    need r 1 "u1";
-    let v = Char.code r.data.[r.pos] in
+    if r.limit - r.pos < 1 then truncated r 1 "u1";
+    let v = Char.code (String.unsafe_get r.data r.pos) in
     r.pos <- r.pos + 1;
     v
 
   let u2 r =
-    need r 2 "u2";
-    let v = u1 r in
-    (v lsl 8) lor u1 r
+    if r.limit - r.pos < 2 then truncated r 2 "u2";
+    let v = String.get_uint16_be r.data r.pos in
+    r.pos <- r.pos + 2;
+    v
 
   let u4 r =
-    need r 4 "u4";
-    let a = u2 r in
-    let b = u2 r in
+    if r.limit - r.pos < 4 then truncated r 4 "u4";
+    let a = String.get_uint16_be r.data r.pos in
+    let b = String.get_uint16_be r.data (r.pos + 2) in
+    r.pos <- r.pos + 4;
     (a lsl 16) lor b
 
   let i4 r = Int32.of_int (u4 r)

@@ -29,6 +29,9 @@ module Writer : sig
 
   val raw : t -> string -> unit
   val contents : t -> string
+
+  val reset : t -> unit
+  (** Empty the writer, keeping its capacity for reuse. *)
 end
 
 module Reader : sig

@@ -64,7 +64,7 @@ let apply_filter f cf =
     let name = f.Rewrite.Filter.name in
     Telemetry.Global.with_span ~cat:"pipeline"
       ~args:[ ("class", cf.Bytecode.Classfile.name) ]
-      ~observe_hist:("pipeline.filter_us." ^ name)
+      ?observe_hist:(Telemetry.Global.host_hist ("pipeline.filter_us." ^ name))
       ("pipeline.filter:" ^ name)
       (fun () ->
         Telemetry.Global.observe

@@ -53,86 +53,131 @@ type layout = {
          first instruction *)
 }
 
-(* [n] (the code length) is a valid insertion point meaning "append at
-   the very end" — used when instrumenting past the last instruction
-   is needed (rare; returns are usually the anchor). *)
-let apply_insertions_layout (code : CF.code) (insertions : insertion list) :
-    CF.code * layout =
+(* An insertion in layout order. Sorting by point, fall-through-only
+   blocks before redirected ones, each kept in input order, gives the
+   order blocks are laid out in; [pos] is the block's input position. *)
+type placed = { p_at : int; p_fall : bool; p_pos : int; p_block : I.t list }
+
+let layout_order a b =
+  if a.p_at <> b.p_at then Int.compare a.p_at b.p_at
+  else Bool.compare b.p_fall a.p_fall
+
+(* Where the patched code puts things, without a per-instruction table:
+   insertions are few, so positions come from a binary search over the
+   placed blocks and their prefix lengths ([before.(j)] = total length
+   of blocks [0, j)). *)
+type plan = { n : int; placed : placed array; before : int array }
+
+let plan (code : CF.code) insertions =
   let n = Array.length code.CF.instrs in
   List.iter
     (fun { at; _ } ->
       if at < 0 || at > n then invalid_arg "Patch.apply_insertions: bad index")
     insertions;
-  (* Group blocks by insertion point, preserving order of same-point
-     insertions within each redirect class. Each block keeps its input
-     position so the layout can report where it landed. *)
-  let fall_only = Array.make (n + 1) [] in
-  let redirected = Array.make (n + 1) [] in
-  List.iteri
-    (fun pos ins ->
-      let arr = if ins.redirect then redirected else fall_only in
-      arr.(ins.at) <- arr.(ins.at) @ [ (pos, ins.block) ])
-    insertions;
-  let len_of blocks =
-    List.fold_left (fun acc (_, b) -> acc + List.length b) 0 blocks
+  let placed =
+    Array.of_list
+      (List.mapi
+         (fun pos { at; block; redirect } ->
+           { p_at = at; p_fall = not redirect; p_pos = pos; p_block = block })
+         insertions)
   in
-  let fall_len_at i = len_of fall_only.(i) in
-  let block_len_at i = fall_len_at i + len_of redirected.(i) in
-  (* start.(i): new index of the first inserted instruction at old
-     index i (fall-through-only blocks first); the old instruction i
-     itself lands at start.(i) + block_len_at i. *)
-  let start = Array.make (n + 1) 0 in
-  for i = 1 to n do
-    start.(i) <- start.(i - 1) + block_len_at (i - 1) + 1
+  Array.stable_sort layout_order placed;
+  let k = Array.length placed in
+  let before = Array.make (k + 1) 0 in
+  for j = 0 to k - 1 do
+    before.(j + 1) <- before.(j) + List.length placed.(j).p_block
   done;
-  (* Old branch target t skips any fall-through-only blocks but runs
-     the redirected ones. *)
-  let retarget t = start.(t) + fall_len_at t in
-  (* The new length is known up front (start already accounts for every
-     block), so the result is written straight into an exact-size array
-     instead of accumulating a list and reversing. *)
-  let total = start.(n) + block_len_at n in
-  let instrs = Array.make (max total 1) I.Nop in
-  let starts = Array.make (List.length insertions) 0 in
+  { n; placed; before }
+
+(* First placed block at a point >= t. *)
+let first_at p t =
+  let lo = ref 0 and hi = ref (Array.length p.placed) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if p.placed.(mid).p_at < t then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* Old index [t] -> new index of the first block inserted at [t] (or of
+   the old instruction, when none is). [n] is the append point; anything
+   outside [0, n] fails as an out-of-bounds table lookup would. *)
+let start p t =
+  if t < 0 || t > p.n then invalid_arg "index out of bounds";
+  t + p.before.(first_at p t)
+
+(* Old branch target [t] skips the fall-through-only blocks at [t] but
+   runs the redirected ones. *)
+let retarget p t =
+  if t < 0 || t > p.n then invalid_arg "index out of bounds";
+  let j = ref (first_at p t) in
+  while
+    !j < Array.length p.placed
+    && p.placed.(!j).p_at = t
+    && p.placed.(!j).p_fall
+  do
+    incr j
+  done;
+  t + p.before.(!j)
+
+(* Old instruction [i] lands after every block inserted at [i]. *)
+let landing p i = i + p.before.(first_at p (i + 1))
+
+let apply p (code : CF.code) =
+  let total = p.n + p.before.(Array.length p.placed) in
+  let instrs = if total = 0 then [||] else Array.make total I.Nop in
+  let starts = Array.make (Array.length p.placed) 0 in
   let next = ref 0 in
   let emit i =
     instrs.(!next) <- i;
     incr next
   in
-  let emit_blocks i =
-    let base = ref start.(i) in
-    List.iter
-      (fun (pos, block) ->
-        let b = !base in
-        starts.(pos) <- b;
-        List.iter (fun ins -> emit (I.map_targets (fun j -> b + j) ins)) block;
-        base := b + List.length block)
-      (fall_only.(i) @ redirected.(i))
+  let j = ref 0 in
+  let emit_blocks_at i =
+    while !j < Array.length p.placed && p.placed.(!j).p_at = i do
+      let pl = p.placed.(!j) in
+      let b = !next in
+      starts.(pl.p_pos) <- b;
+      let rel t = b + t in
+      List.iter (fun ins -> emit (I.map_targets rel ins)) pl.p_block;
+      incr j
+    done
   in
-  for i = 0 to n - 1 do
-    emit_blocks i;
+  let retarget = retarget p in
+  for i = 0 to p.n - 1 do
+    emit_blocks_at i;
     emit (I.map_targets retarget code.CF.instrs.(i))
   done;
-  (* Trailing block at index n, if any. *)
-  emit_blocks n;
-  let instrs = if total = 0 then [||] else instrs in
+  (* Trailing blocks at index n, if any. *)
+  emit_blocks_at p.n;
   let handlers =
     List.map
       (fun h ->
         {
-          CF.h_start = start.(h.CF.h_start);
-          h_end = start.(h.CF.h_end);
+          CF.h_start = start p h.CF.h_start;
+          h_end = start p h.CF.h_end;
           h_target = retarget h.CF.h_target;
           h_catch = h.CF.h_catch;
         })
       code.CF.handlers
   in
-  let l_instr = Array.init (n + 1) (fun i -> start.(i) + block_len_at i) in
-  let l_target = Array.init (n + 1) retarget in
-  ({ code with CF.instrs; handlers }, { l_instr; l_target; l_starts = starts })
+  ({ code with CF.instrs; handlers }, starts)
 
-let apply_insertions code insertions =
-  fst (apply_insertions_layout code insertions)
+(* [n] (the code length) is a valid insertion point meaning "append at
+   the very end" — used when instrumenting past the last instruction
+   is needed (rare; returns are usually the anchor). *)
+let apply_insertions code insertions = fst (apply (plan code insertions) code)
+
+let apply_insertions_layout (code : CF.code) (insertions : insertion list) :
+    CF.code * layout =
+  let p = plan code insertions in
+  let code', starts = apply p code in
+  let n = p.n in
+  ( code',
+    {
+      l_instr = Array.init (n + 1) (landing p);
+      l_target = Array.init (n + 1) (retarget p);
+      l_starts = starts;
+    } )
 
 (* Recompute stack/locals bounds after patching. The estimate walks the
    new CFG; we keep at least the original bounds, so instrumentation
@@ -140,11 +185,11 @@ let apply_insertions code insertions =
 let refit_bounds pool ~params ~is_static (code : CF.code) : CF.code =
   let handler_targets = List.map (fun h -> h.CF.h_target) code.CF.handlers in
   let max_stack =
-    max code.CF.max_stack
+    Int.max code.CF.max_stack
       (Bytecode.Builder.estimate_max_stack ~handler_targets pool code.CF.instrs)
   in
   let max_locals =
-    max code.CF.max_locals
+    Int.max code.CF.max_locals
       (Bytecode.Builder.estimate_max_locals ~params ~is_static code.CF.instrs)
   in
   { code with CF.max_stack; max_locals }

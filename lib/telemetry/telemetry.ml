@@ -379,6 +379,8 @@ module Global = struct
 
   let with_span ?cat ?args ?observe_hist name f =
     with_span ?cat ?args ?observe_hist default name f
+
+  let host_hist name = if Option.is_none default.sim_clock then Some name else None
 end
 
 (* Sibling modules of the wrapped library, re-exported so users write

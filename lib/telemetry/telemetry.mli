@@ -157,6 +157,12 @@ module Global : sig
     string ->
     (unit -> 'a) ->
     'a
+
+  val host_hist : string -> string option
+  (** [Some name] when no sim clock is attached, [None] otherwise: the
+      [observe_hist] of a span that is pure host CPU. Under the sim
+      clock such a span always lasts 0 µs, so its histogram would only
+      ever read 0. *)
 end
 
 (** {1 Distributed observability} — sibling modules re-exported. *)

@@ -7,8 +7,6 @@
     §3.1. Subroutines use the merged-frame approximation: [ret] flows
     to the instruction after every [jsr] targeting its entry. *)
 
-type frame = { locals : Vtype.t array; stack : Vtype.t list }
-
 type result = {
   r_errors : Verror.t list;
   r_checks : int;  (** static checks performed *)

@@ -91,6 +91,10 @@ let guarded_prologue pool ~cls_name ~field checks =
 
 let rewrite_with_assumptions (cf : CF.t) (asms : Assumptions.t) :
     CF.t * int * int =
+  (* Nothing deferred: the class is already in self-verifying form, and
+     re-interning its whole pool would only copy it. *)
+  if Assumptions.count asms = 0 then (cf, 0, 0)
+  else
   let pool = CP.Builder.of_pool cf.CF.pool in
   let new_fields = ref [] in
   let deferred = ref 0 in

@@ -152,9 +152,15 @@ let check_code c ~cls ~meth (pool : CP.t) (code : CF.code) =
   Array.iteri
     (fun idx insn ->
       checked c;
-      List.iter
-        (fun t -> if not (target_ok t) then e_at idx "branch target %d out of range" t)
-        (I.targets insn);
+      (* Most instructions have no targets; the closure is built only
+         for those that do. *)
+      (match I.targets insn with
+      | [] -> ()
+      | targets ->
+        List.iter
+          (fun t ->
+            if not (target_ok t) then e_at idx "branch target %d out of range" t)
+          targets);
       (match insn with
       | I.Iload l | I.Istore l | I.Aload l | I.Astore l | I.Iinc (l, _)
       | I.Ret l ->

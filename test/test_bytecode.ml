@@ -493,10 +493,256 @@ let prop_size_matches =
           | _ -> false)
         cls.CF.methods cls'.CF.methods)
 
+(* --- Codec property over raw method bodies: every one of the 68
+   opcodes, branch, jsr and tableswitch targets anywhere in [0, n]
+   (n is the end of the body) and exception handlers, built directly
+   as [Classfile.t] values rather than through the assembler. --- *)
+
+let icmps = [| I.Eq; I.Ne; I.Lt; I.Ge; I.Gt; I.Le |]
+
+(* The instruction with opcode [op] (the wire numbering), its operands
+   drawn from [u2], [i2], [i4] and [target]. *)
+let instr_of_opcode ~u2 ~i2 ~i4 ~target ~targets op =
+  match op with
+  | 0 -> I.Nop
+  | 1 -> I.Iconst (i4 ())
+  | 2 -> I.Ldc_str (u2 ())
+  | 3 -> I.Aconst_null
+  | 4 -> I.Iload (u2 ())
+  | 5 -> I.Istore (u2 ())
+  | 6 -> I.Aload (u2 ())
+  | 7 -> I.Astore (u2 ())
+  | 8 ->
+    let n = u2 () in
+    I.Iinc (n, i2 ())
+  | 9 -> I.Iadd
+  | 10 -> I.Isub
+  | 11 -> I.Imul
+  | 12 -> I.Idiv
+  | 13 -> I.Irem
+  | 14 -> I.Ineg
+  | 15 -> I.Ishl
+  | 16 -> I.Ishr
+  | 17 -> I.Iand
+  | 18 -> I.Ior
+  | 19 -> I.Ixor
+  | 20 -> I.Dup
+  | 21 -> I.Dup_x1
+  | 22 -> I.Pop
+  | 23 -> I.Swap
+  | 24 -> I.Goto (target ())
+  | op when op >= 25 && op <= 30 -> I.If_icmp (icmps.(op - 25), target ())
+  | op when op >= 31 && op <= 36 -> I.If_z (icmps.(op - 31), target ())
+  | 37 -> I.If_acmp (true, target ())
+  | 38 -> I.If_acmp (false, target ())
+  | 39 -> I.If_null (true, target ())
+  | 40 -> I.If_null (false, target ())
+  | 41 -> I.Jsr (target ())
+  | 42 -> I.Ret (u2 ())
+  | 43 ->
+    let low = i4 () in
+    let default = target () in
+    I.Tableswitch { low; targets = targets (); default }
+  | 44 -> I.Ireturn
+  | 45 -> I.Areturn
+  | 46 -> I.Return
+  | 47 -> I.Getstatic (u2 ())
+  | 48 -> I.Putstatic (u2 ())
+  | 49 -> I.Getfield (u2 ())
+  | 50 -> I.Putfield (u2 ())
+  | 51 -> I.Invokevirtual (u2 ())
+  | 52 -> I.Invokestatic (u2 ())
+  | 53 -> I.Invokespecial (u2 ())
+  | 54 -> I.New (u2 ())
+  | 55 -> I.Newarray
+  | 56 -> I.Anewarray (u2 ())
+  | 57 -> I.Arraylength
+  | 58 -> I.Iaload
+  | 59 -> I.Iastore
+  | 60 -> I.Aaload
+  | 61 -> I.Aastore
+  | 62 -> I.Athrow
+  | 63 -> I.Checkcast (u2 ())
+  | 64 -> I.Instanceof (u2 ())
+  | 65 -> I.Monitorenter
+  | 66 -> I.Monitorexit
+  | 67 -> I.Invokeinterface (u2 ())
+  | op -> invalid_arg (Printf.sprintf "instr_of_opcode %d" op)
+
+let n_opcodes = 68
+
+let raw_class methods =
+  {
+    CF.name = "gen/Raw";
+    super = Some CF.java_lang_object;
+    interfaces = [];
+    c_flags = [ CF.Public ];
+    fields = [];
+    methods;
+    pool = [| CP.Utf8 ""; CP.Utf8 "gen/Raw"; CP.Class 1 |];
+    attributes = [];
+  }
+
+let raw_method i code =
+  {
+    CF.m_name = Printf.sprintf "m%d" i;
+    m_desc = "()V";
+    m_flags = [ CF.Public; CF.Static ];
+    m_code = Some code;
+  }
+
+let gen_code =
+  let open QCheck.Gen in
+  fun rand ->
+    let n = int_range 1 40 rand in
+    let target () = int_bound n rand in
+    let instrs =
+      Array.init n (fun _ ->
+          instr_of_opcode (int_bound (n_opcodes - 1) rand)
+            ~u2:(fun () -> int_bound 0xffff rand)
+            ~i2:(fun () -> int_range (-0x8000) 0x7fff rand)
+            ~i4:(fun () -> Int32.of_int (int_range (-0x8000_0000) 0x7fff_ffff rand))
+            ~target
+            ~targets:(fun () -> Array.init (int_bound 4 rand) (fun _ -> target ())))
+    in
+    let handlers =
+      List.init (int_bound 3 rand) (fun _ ->
+          {
+            CF.h_start = target ();
+            h_end = target ();
+            h_target = target ();
+            h_catch =
+              (if bool rand then None else Some "java/lang/Exception");
+          })
+    in
+    {
+      CF.max_stack = int_bound 0xffff rand;
+      max_locals = int_bound 0xffff rand;
+      instrs;
+      handlers;
+    }
+
+let gen_raw_class =
+  QCheck.Gen.(
+    map
+      (fun codes -> raw_class (List.mapi raw_method codes))
+      (list_size (int_range 1 4) gen_code))
+
+let arbitrary_raw_class =
+  QCheck.make ~print:Bytecode.Disasm.class_to_string gen_raw_class
+
+let prop_raw_roundtrip =
+  QCheck.Test.make ~name:"codec roundtrip over all opcodes" ~count:500
+    arbitrary_raw_class (fun cls ->
+      Dec.class_of_bytes (Enc.class_to_bytes cls) = cls)
+
+(* Every opcode, once, in one body: the property's generator draws
+   opcodes at random; this pins that the table covers all 68. *)
+let test_every_opcode_roundtrips () =
+  let n = n_opcodes in
+  let instrs =
+    Array.init n (fun op ->
+        instr_of_opcode op
+          ~u2:(fun () -> op)
+          ~i2:(fun () -> -op)
+          ~i4:(fun () -> Int32.of_int (op - 1000))
+          ~target:(fun () -> (op * 7) mod (n + 1))
+          ~targets:(fun () -> [| 0; n; op |]))
+  in
+  let cls =
+    raw_class
+      [
+        raw_method 0
+          { CF.max_stack = 3; max_locals = 2; instrs; handlers = [] };
+      ]
+  in
+  let bytes = Enc.class_to_bytes cls in
+  check Alcotest.bool "roundtrip" true (Dec.class_of_bytes bytes = cls);
+  let mnemonic i = List.hd (String.split_on_char ' ' (I.to_string i)) in
+  check Alcotest.int "one instruction per opcode" n
+    (List.length
+       (List.sort_uniq String.compare (List.map mnemonic (Array.to_list instrs))))
+
+(* Where method 0's body starts in [cls]'s encoding: a copy holding
+   only method 0, with an empty body and no handlers, ends with that
+   (empty) body, the u2 handler count and the u2 attribute count. *)
+let body_start (cls : CF.t) =
+  let m = List.hd cls.CF.methods in
+  let code = Option.get m.CF.m_code in
+  let empty =
+    { m with CF.m_code = Some { code with CF.instrs = [||]; handlers = [] } }
+  in
+  String.length (Enc.class_to_bytes { cls with CF.methods = [ empty ] }) - 4
+
+let boundary_error = function
+  | Dec.Format_error msg ->
+    let needle = "not on an instruction boundary" in
+    let ln = String.length needle in
+    let rec scan p =
+      p + ln <= String.length msg
+      && (String.equal (String.sub msg p ln) needle || scan (p + 1))
+    in
+    scan 0
+  | _ -> false
+
+let prop_corrupt_branch_target =
+  QCheck.Test.make ~name:"one-byte branch-target corruption is a Format_error"
+    ~count:300 arbitrary_raw_class (fun cls ->
+      let code = Option.get (List.hd cls.CF.methods).CF.m_code in
+      let instrs = code.CF.instrs in
+      let is_branch = function
+        | I.Goto _ | I.If_icmp _ | I.If_z _ | I.If_acmp _ | I.If_null _
+        | I.Jsr _ ->
+          true
+        | _ -> false
+      in
+      let branches =
+        List.filter
+          (fun k -> is_branch instrs.(k))
+          (List.init (Array.length instrs) Fun.id)
+      in
+      match branches with
+      | [] -> QCheck.assume_fail ()
+      | k :: _ ->
+        let offsets = Array.make (Array.length instrs + 1) 0 in
+        Array.iteri
+          (fun j i -> offsets.(j + 1) <- offsets.(j) + I.encoded_size i)
+          instrs;
+        let bytes = Enc.class_to_bytes cls in
+        (* The branch's u4 target offset follows its opcode byte. *)
+        let pos = body_start cls + offsets.(k) + 1 in
+        let corrupt p c =
+          let b = Bytes.of_string bytes in
+          Bytes.set b p c;
+          match Dec.class_of_bytes (Bytes.to_string b) with
+          | _ -> false
+          | exception e -> boundary_error e
+        in
+        (* Top byte: the target lands far past the end of the body. *)
+        corrupt pos '\x80'
+        &&
+        (* Low byte: the target lands inside the branch itself, when
+           that is one low-byte edit away. *)
+        let inside = offsets.(k) + 1 in
+        let upper =
+          (Char.code bytes.[pos] lsl 24)
+          lor (Char.code bytes.[pos + 1] lsl 16)
+          lor (Char.code bytes.[pos + 2] lsl 8)
+        in
+        if upper = inside land lnot 0xff then
+          corrupt (pos + 3) (Char.chr (inside land 0xff))
+        else true)
+
 let () =
   let qt =
     List.map QCheck_alcotest.to_alcotest
-      [ prop_roundtrip; prop_size_matches; prop_attrs_fast_path ]
+      [
+        prop_roundtrip;
+        prop_size_matches;
+        prop_attrs_fast_path;
+        prop_raw_roundtrip;
+        prop_corrupt_branch_target;
+      ]
   in
   Alcotest.run "bytecode"
     [
@@ -540,6 +786,8 @@ let () =
           Alcotest.test_case "misaligned branch" `Quick
             test_decode_misaligned_branch;
           Alcotest.test_case "size accounting" `Quick test_size_accounting;
+          Alcotest.test_case "every opcode roundtrips" `Quick
+            test_every_opcode_roundtrips;
         ] );
       ( "io",
         [

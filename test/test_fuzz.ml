@@ -208,6 +208,35 @@ let test_truncation_sweep () =
   | exception Bytecode.Decode.Format_error e ->
     Alcotest.fail ("full image failed to decode: " ^ e)
 
+(* --- Golden pin of the reject path: a fixed-seed corpus of mutated
+   images through the verifier pipeline. Format_error text and verifier
+   rejection text reach clients inside §3.1 replacement classes, so the
+   digest over every served image and rejection reason pins both. --- *)
+
+let reject_path_md5 = "befeecc992df2f8938723d5c057cd19e"
+
+let test_reject_path_pin () =
+  let rand = Random.State.make [| 20261017 |] in
+  let cases = QCheck.Gen.generate ~rand ~n:300 gen_case in
+  let buf = Buffer.create 65536 in
+  let by_filter = Hashtbl.create 4 in
+  List.iter
+    (fun (ci, edits) ->
+      let out = Proxy.Pipeline.run (filters ()) (mutate corpus_bytes.(ci) edits) in
+      Buffer.add_string buf out.Proxy.Pipeline.out_bytes;
+      match out.Proxy.Pipeline.rejected with
+      | None -> Buffer.add_string buf "\n-\n"
+      | Some (filter, reason) ->
+        Hashtbl.replace by_filter filter
+          (1 + Option.value ~default:0 (Hashtbl.find_opt by_filter filter));
+        Printf.bprintf buf "\n%s: %s\n" filter reason)
+    cases;
+  let rejections f = Option.value ~default:0 (Hashtbl.find_opt by_filter f) in
+  check Alcotest.int "format errors" 262 (rejections "decode");
+  check Alcotest.int "verifier rejections" 10 (rejections "verifier");
+  check Alcotest.string "outcomes md5" reject_path_md5
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -218,5 +247,6 @@ let () =
           Alcotest.test_case "empty and garbage inputs" `Quick
             test_empty_and_garbage;
           Alcotest.test_case "truncation sweep" `Quick test_truncation_sweep;
+          Alcotest.test_case "reject path pin" `Quick test_reject_path_pin;
         ] );
     ]

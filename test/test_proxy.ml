@@ -1298,6 +1298,77 @@ let test_audit_trail () =
     (List.length (Monitor.Audit.filter_kind audit "proxy.serve") = 1);
   check Alcotest.bool "chain ok" true (Monitor.Audit.verify_chain audit)
 
+(* --- Golden pin of the accept path: all 401 full-size app classes
+   through an uncached signing proxy with the standard service stack.
+   The digest covers the served bytes in class-name order; the counter
+   line covers what the verifier, security and audit filters reported.
+   A change to decode, verify, rewrite, sign or encode that alters a
+   single served byte or count fails here. --- *)
+
+let accept_path_md5 = "866ffe3ac9249c3482f85d036929e26d"
+
+let accept_path_counters =
+  "verifier checks=872364 deferred=0 verified=401 rejected=0; security \
+   inserted=0 elided=0 hoisted=0 methods=0 classes=401; audit probes=3922 \
+   methods=1961"
+
+let test_accept_path_pin () =
+  let apps = List.map Workloads.Appgen.build Workloads.Apps.all_specs in
+  let classes = List.concat_map (fun a -> a.Workloads.Appgen.classes) apps in
+  let origin_bytes = Hashtbl.create 512 in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun (n, b) -> Hashtbl.replace origin_bytes n b)
+        (Workloads.Appgen.class_bytes a))
+    apps;
+  let oracle =
+    Verifier.Oracle.of_classes (Jvm.Bootlib.boot_classes () @ classes)
+  in
+  let services = Dvm.Experiment.standard_services ~oracle () in
+  let signer =
+    Dsig.Sign.make_key ~key_id:"golden" ~secret:"golden-proxy-key"
+  in
+  let proxy =
+    Proxy.create (Simnet.Engine.create ()) ~cache_capacity:0 ~signer
+      ~origin:(Hashtbl.find_opt origin_bytes)
+      ~origin_latency:(fun _ -> 0L)
+      ~filters:services.Dvm.Experiment.filters ()
+  in
+  let names = List.sort String.compare (List.map (fun cf -> cf.CF.name) classes) in
+  check Alcotest.int "class count" 401 (List.length names);
+  let served =
+    List.map
+      (fun name ->
+        match Proxy.request_sync proxy ~cls:name with
+        | Proxy.Bytes b -> b
+        | Proxy.Not_found | Proxy.Unavailable | Proxy.Overloaded ->
+          fail ("no bytes for " ^ name))
+      names
+  in
+  let v = services.Dvm.Experiment.verifier_counters in
+  let s = services.Dvm.Experiment.security_counters in
+  let a = services.Dvm.Experiment.audit_counters in
+  let counters =
+    Printf.sprintf
+      "verifier checks=%d deferred=%d verified=%d rejected=%d; security \
+       inserted=%d elided=%d hoisted=%d methods=%d classes=%d; audit \
+       probes=%d methods=%d"
+      v.Verifier.Static_verifier.total_static_checks
+      v.Verifier.Static_verifier.total_deferred
+      v.Verifier.Static_verifier.classes_verified
+      v.Verifier.Static_verifier.classes_rejected
+      s.Security.Rewriter.checks_inserted s.Security.Rewriter.checks_elided
+      s.Security.Rewriter.checks_hoisted
+      s.Security.Rewriter.methods_instrumented
+      s.Security.Rewriter.classes_processed
+      a.Monitor.Instrument.probes_inserted
+      a.Monitor.Instrument.methods_instrumented
+  in
+  check Alcotest.string "served bytes md5" accept_path_md5
+    (Digest.to_hex (Digest.string (String.concat "" served)));
+  check Alcotest.string "filter counters" accept_path_counters counters
+
 let () =
   Alcotest.run "proxy"
     [
@@ -1331,6 +1402,7 @@ let () =
             test_pipeline_encode_overflow_rejects;
           Alcotest.test_case "memo transparent" `Quick
             test_pipeline_memo_transparent;
+          Alcotest.test_case "accept path pin" `Quick test_accept_path_pin;
         ] );
       ( "wire",
         [
