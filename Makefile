@@ -77,10 +77,11 @@ fig6-check:
 	dune exec bench/main.exe -- fig6
 
 # Perf compare, the BENCH pin: the bench perf phase re-runs the six
-# seeded phases that write BENCH_<phase>.json, exits non-zero if any
-# served byte, digest or metric drifts from the committed baselines,
-# and prints baseline-vs-now wall-clock per phase (the speed
-# trajectory the wall_ms field records). Every number in those files
+# seeded phases that write BENCH_<phase>.json three times each, exits
+# non-zero if any served byte, digest or metric drifts from the
+# committed baselines or between the runs, and prints baseline-vs-now
+# wall-clock per phase (the median run, which the wall_ms field
+# records). Every number in those files
 # except wall_ms is a function of the virtual clock and the pinned
 # seeds, so a diff is either a real behaviour change (recommit the
 # baseline, explain it in the PR) or nondeterminism leaking in (a

@@ -215,7 +215,7 @@ let run (cfg : config) : outcome =
   in
   (* Per-applet digest of fresh serves; divergence inside one run is a
      single-flight/caching bug and fatal. *)
-  let served : (string, string) Hashtbl.t = Hashtbl.create 64 in
+  let served = Served.create () in
   let latencies = ref [] in
   let tail_start = Int64.sub horizon (Int64.div horizon 4L) in
   let tail_served = ref 0 in
@@ -233,11 +233,7 @@ let run (cfg : config) : outcome =
           | Client.Session.Fresh b ->
             Simnet.Engine.record engine
               (Printf.sprintf "serve %s -> c%d" name id);
-            let digest = Dsig.Md5.digest b in
-            (match Hashtbl.find_opt served applet_key with
-            | Some d when not (String.equal d digest) ->
-              failwith ("Chaos.run: divergent bytes for " ^ applet_key)
-            | _ -> Hashtbl.replace served applet_key digest);
+            Served.pin served ~who:"Chaos.run" ~key:applet_key b;
             latencies := Int64.sub now started :: !latencies;
             if Int64.compare now tail_start >= 0 then incr tail_served
           | Client.Session.Stale _ | Client.Session.Failed -> ());
@@ -284,10 +280,7 @@ let run (cfg : config) : outcome =
     co_deadline_violations =
       sum (fun s -> s.Client.Session.deadline_violations);
     co_tail_served = !tail_served;
-    co_digests =
-      List.sort
-        (fun (a, _) (b, _) -> String.compare a b)
-        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) served []);
+    co_digests = Served.pinned served;
     co_fault_trace = Simnet.Fault.trace plan;
     co_trace_digest =
       Dsig.Md5.digest
@@ -750,6 +743,7 @@ let run_control (cfg : control_config) : control_outcome =
      Each fresh serve is recorded with the committed version at issue
      time; the invariant is evaluated offline after the run. *)
   let records = ref [] in
+  let served = Served.create () in
   let rec client_loop id iter =
     let k = (id + (iter * 37)) mod cfg.cc_applets in
     let applet_key = Printf.sprintf "a%d" k in
@@ -760,7 +754,9 @@ let run_control (cfg : control_config) : control_outcome =
         | Client.Session.Fresh b ->
           Simnet.Engine.record engine
             (Printf.sprintf "serve %s @v%d -> c%d" name v_at_issue id);
-          records := (applet_key, Dsig.Md5.digest b, v_at_issue) :: !records
+          records :=
+            (applet_key, Served.digest served ~key:applet_key b, v_at_issue)
+            :: !records
         | Client.Session.Stale _ | Client.Session.Failed -> ());
         Simnet.Engine.schedule engine ~delay:cfg.cc_think_us (fun () ->
             client_loop id (iter + 1)))

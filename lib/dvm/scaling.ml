@@ -239,7 +239,7 @@ let run_farm ?slo ?(duration_s = 30) ?(seed = 7) ?(applet_count = 64)
   (* applet key ("a<k>") -> digest of the rewritten bytes served for
      it. Within one run, any divergence is a single-flight or cache
      corruption bug, so it is fatal rather than recorded. *)
-  let served : (string, string) Hashtbl.t = Hashtbl.create 64 in
+  let served = Served.create () in
   let rec client_loop id iter =
     let k = (id + (iter * 37)) mod applet_count in
     let applet_key = Printf.sprintf "a%d" k in
@@ -265,11 +265,7 @@ let run_farm ?slo ?(duration_s = 30) ?(seed = 7) ?(applet_count = 64)
                   (Int64.sub now started);
                 Simnet.Engine.record engine
                   (Printf.sprintf "serve %s -> c%d" name id);
-                let digest = Dsig.Md5.digest b in
-                (match Hashtbl.find_opt served applet_key with
-                | Some d when not (String.equal d digest) ->
-                  failwith ("run_farm: divergent bytes for " ^ applet_key)
-                | _ -> Hashtbl.replace served applet_key digest);
+                Served.pin served ~who:"run_farm" ~key:applet_key b;
                 bytes_delivered := !bytes_delivered + String.length b;
                 latency_sum := Int64.add !latency_sum (Int64.sub now started);
                 Simnet.Engine.schedule engine ~delay:think_time (fun () ->
@@ -283,11 +279,7 @@ let run_farm ?slo ?(duration_s = 30) ?(seed = 7) ?(applet_count = 64)
   done;
   Simnet.Engine.run ~until:horizon engine;
   let dur = Simnet.Engine.to_sec horizon in
-  let f_served =
-    List.sort
-      (fun (a, _) (b, _) -> String.compare a b)
-      (Hashtbl.fold (fun k d acc -> (k, d) :: acc) served [])
-  in
+  let f_served = Served.pinned served in
   let f_trace_digest =
     Dsig.Md5.digest
       (String.concat "\n"

@@ -23,6 +23,10 @@ type t = {
   engine : Simnet.Engine.t;
   shards : Node.t array;
   ring : (int * int) array; (* (point, shard index), sorted by point *)
+  orders : int list array;
+  (* per ring slot: the distinct shards in ring order from that slot,
+     built once by [create]; neighbouring slots with equal orders share
+     one list *)
   health : bool array; (* last observed per-shard state, for the console *)
   breakers : Breaker.t array; (* per-shard circuit breaker, ruling routing *)
   mutable requests : int;
@@ -42,9 +46,10 @@ let fnv_prime = 0x100000001b3L
 
 let hash_key (s : string) : int =
   let h = ref fnv_offset in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    let c = Int64.of_int (Char.code (String.unsafe_get s i)) in
+    h := Int64.mul (Int64.logxor !h c) fnv_prime
+  done;
   (* Keep it a nonnegative OCaml int: drop the top two bits. *)
   Int64.to_int (Int64.shift_right_logical !h 2)
 
@@ -60,6 +65,27 @@ let create ?(vnodes = default_vnodes) ?breaker engine shards =
         (hash_key (Printf.sprintf "shard-%d#%d" shard v), shard))
   in
   Array.sort compare ring;
+  (* Slot [i]'s order is its own shard, then slot [i+1]'s order without
+     that shard: built backwards from one full walk at the last slot.
+     A slot whose shard already heads the next slot's order shares that
+     list outright. *)
+  let slots = Array.length ring in
+  let orders = Array.make slots [] in
+  let seen = Array.make n false in
+  let last = ref [] in
+  for i = 0 to slots - 1 do
+    let s = snd ring.((slots - 1 + i) mod slots) in
+    if not seen.(s) then begin
+      seen.(s) <- true;
+      last := s :: !last
+    end
+  done;
+  orders.(slots - 1) <- List.rev !last;
+  for i = slots - 2 downto 0 do
+    let s = snd ring.(i) and next = orders.(i + 1) in
+    orders.(i) <-
+      (if List.hd next = s then next else s :: List.filter (fun x -> x <> s) next)
+  done;
   let mk_breaker =
     match breaker with Some f -> f | None -> fun _ -> Breaker.create ()
   in
@@ -67,6 +93,7 @@ let create ?(vnodes = default_vnodes) ?breaker engine shards =
     engine;
     shards;
     ring;
+    orders;
     health = Array.map (fun s -> Simnet.Host.is_up s.Node.host) shards;
     breakers = Array.init n mk_breaker;
     requests = 0;
@@ -93,20 +120,8 @@ let ring_position t key =
 let owner t key = snd t.ring.(ring_position t key)
 
 (* Distinct shards in ring order starting at the key's owner — the
-   failover preference order for that key. *)
-let preference_order t key =
-  let n = Array.length t.ring in
-  let start = ring_position t key in
-  let seen = Array.make (Array.length t.shards) false in
-  let order = ref [] in
-  for i = 0 to n - 1 do
-    let s = snd t.ring.((start + i) mod n) in
-    if not seen.(s) then begin
-      seen.(s) <- true;
-      order := s :: !order
-    end
-  done;
-  List.rev !order
+   failover preference order for that key, precomputed per slot. *)
+let preference_order t key = t.orders.(ring_position t key)
 
 let health t =
   Array.iteri

@@ -13,6 +13,9 @@ type t = {
   engine : Simnet.Engine.t;
   shards : Node.t array;
   ring : (int * int) array;  (** (point, shard index), sorted *)
+  orders : int list array;
+      (** per ring slot, the distinct shards in ring order from that
+          slot; built once by {!create} *)
   health : bool array;  (** last observed per-shard state *)
   breakers : Breaker.t array;  (** per-shard circuit breaker, ruling routing *)
   mutable requests : int;
@@ -48,7 +51,8 @@ val owner : t -> string -> int
 
 val preference_order : t -> string -> int list
 (** Distinct shards in ring order starting at the key's owner: the
-    failover order {!request} walks. *)
+    failover order {!request} walks. One binary search over the ring;
+    the list is shared, precomputed by {!create}. *)
 
 val health : t -> bool array
 (** Probe every shard host and return the raw up/down view — no

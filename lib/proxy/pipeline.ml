@@ -254,6 +254,26 @@ let run_uncached ?(policy_version = 0) ?signer ?gate filters (bytes : string) :
    stacks that thread mutable counter records do not. *)
 
 module Memo = struct
+  (* (policy version, input bytes). Equality is exact; the hash reads
+     the version, the length and fewer than 128 bytes spread evenly over
+     the input, where the generic hash walks every byte of it. *)
+  module Key = Hashtbl.Make (struct
+    type t = int * string
+
+    let equal ((v1, b1) : t) (v2, b2) = v1 = v2 && String.equal b1 b2
+
+    let hash ((v, b) : t) =
+      let n = String.length b in
+      let h = ref ((v * 0x100000001b3) lxor n) in
+      let step = max 1 (n / 64) in
+      let i = ref 0 in
+      while !i < n do
+        h := (!h lxor Char.code (String.unsafe_get b !i)) * 0x100000001b3;
+        i := !i + step
+      done;
+      !h land max_int
+  end)
+
   type entry = {
     me_outcome : outcome;
     me_tape : Telemetry.tape option;
@@ -261,7 +281,7 @@ module Memo = struct
   }
 
   type t = {
-    tbl : (int * string, entry) Hashtbl.t; (* (policy version, input bytes) -> entry *)
+    tbl : entry Key.t; (* (policy version, input bytes) -> entry *)
     cap : int; (* stop inserting past this many entries *)
     mutable hits : int;
     mutable misses : int;
@@ -276,7 +296,7 @@ module Memo = struct
 
   let create ?(cap = 1024) () =
     {
-      tbl = Hashtbl.create 64;
+      tbl = Key.create 64;
       cap;
       hits = 0;
       misses = 0;
@@ -326,7 +346,7 @@ let run ?(policy_version = 0) ?memo ?signer ?gate filters (bytes : string) :
        two versions whose filter stacks happen to be shared physically
        must still never serve each other's outcomes. *)
     let key = (policy_version, bytes) in
-    match Hashtbl.find_opt m.Memo.tbl key with
+    match Memo.Key.find_opt m.Memo.tbl key with
     | Some e when e.Memo.me_telemetry = live ->
       m.Memo.hits <- m.Memo.hits + 1;
       (match e.Memo.me_tape with
@@ -340,8 +360,8 @@ let run ?(policy_version = 0) ?memo ?signer ?gate filters (bytes : string) :
             run_uncached ~policy_version ?signer ?gate filters bytes)
       in
       (match tape with
-      | Some _ when Hashtbl.length m.Memo.tbl < m.Memo.cap ->
-        Hashtbl.replace m.Memo.tbl key
+      | Some _ when Memo.Key.length m.Memo.tbl < m.Memo.cap ->
+        Memo.Key.replace m.Memo.tbl key
           { Memo.me_outcome = o; me_tape = tape; me_telemetry = live }
       | _ -> ());
       o)

@@ -4,62 +4,70 @@
 
 type time = int64
 
-type event = { at : time; seq : int; fn : unit -> unit }
+(* [key] is [at] as an unboxed int, so the heap compares (key, seq)
+   with int compares; [at] keeps the boxed time the caller passed, so
+   firing sets the clock without allocating. [schedule_at] rejects
+   times an int cannot hold. *)
+type event = { key : int; seq : int; at : time; fn : unit -> unit }
 
-(* Binary min-heap on (at, seq). *)
+(* Binary min-heap on (key, seq). The run loop reads the minimum as
+   [data.(0)] and removes it with [drop_min]: no option per event. *)
 module Heap = struct
   type t = { mutable data : event array; mutable size : int }
 
-  let dummy = { at = 0L; seq = 0; fn = ignore }
+  let dummy = { key = 0; seq = 0; at = 0L; fn = ignore }
   let create () = { data = Array.make 256 dummy; size = 0 }
 
-  let less a b = if Int64.equal a.at b.at then a.seq < b.seq else Int64.compare a.at b.at < 0
+  let[@inline] less a b = a.key < b.key || (a.key = b.key && a.seq < b.seq)
 
-  let swap h i j =
-    let t = h.data.(i) in
-    h.data.(i) <- h.data.(j);
-    h.data.(j) <- t
-
+  (* Sift with a hole: parents move down into it, [e] is written once. *)
   let push h e =
     if h.size >= Array.length h.data then begin
       let bigger = Array.make (2 * Array.length h.data) dummy in
       Array.blit h.data 0 bigger 0 h.size;
       h.data <- bigger
     end;
-    h.data.(h.size) <- e;
+    let data = h.data in
+    let i = ref h.size in
     h.size <- h.size + 1;
-    let i = ref (h.size - 1) in
-    while !i > 0 && less h.data.(!i) h.data.((!i - 1) / 2) do
-      swap h !i ((!i - 1) / 2);
-      i := (!i - 1) / 2
-    done
+    let continue = ref true in
+    while !continue && !i > 0 do
+      let p = (!i - 1) / 2 in
+      let parent = data.(p) in
+      if less e parent then begin
+        data.(!i) <- parent;
+        i := p
+      end
+      else continue := false
+    done;
+    data.(!i) <- e
 
-  let pop h =
-    if h.size = 0 then None
-    else begin
-      let top = h.data.(0) in
-      h.size <- h.size - 1;
-      h.data.(0) <- h.data.(h.size);
-      h.data.(h.size) <- dummy;
+  (* Remove the minimum (the heap must be non-empty): the last event
+     fills the root's hole, sifting down past smaller children. *)
+  let drop_min h =
+    let data = h.data in
+    let n = h.size - 1 in
+    h.size <- n;
+    let last = data.(n) in
+    data.(n) <- dummy;
+    if n > 0 then begin
       let i = ref 0 in
       let continue = ref true in
       while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < h.size && less h.data.(l) h.data.(!smallest) then smallest := l;
-        if r < h.size && less h.data.(r) h.data.(!smallest) then smallest := r;
-        if !smallest <> !i then begin
-          swap h !i !smallest;
-          i := !smallest
+        let l = (2 * !i) + 1 in
+        if l >= n then continue := false
+        else begin
+          let c = if l + 1 < n && less data.(l + 1) data.(l) then l + 1 else l in
+          let child = data.(c) in
+          if less child last then begin
+            data.(!i) <- child;
+            i := c
+          end
+          else continue := false
         end
-        else continue := false
       done;
-      Some top
+      data.(!i) <- last
     end
-
-  (* The horizon check only needs to *look* at the earliest event; a
-     pop-then-push round trip costs two sift passes for nothing. *)
-  let peek h = if h.size = 0 then None else Some h.data.(0)
 end
 
 type t = {
@@ -128,9 +136,14 @@ let record t label =
 let trace t = List.rev t.trace_buf
 let trace_dropped t = t.trace_dropped
 
+let min_time = Int64.of_int min_int
+let max_time = Int64.of_int max_int
+
 let schedule_at t at fn =
   let at = if Int64.compare at t.now < 0 then t.now else at in
-  Heap.push t.heap { at; seq = t.next_seq; fn };
+  if Int64.compare at max_time > 0 || Int64.compare at min_time < 0 then
+    invalid_arg "Engine.schedule_at: time outside the int range";
+  Heap.push t.heap { key = Int64.to_int at; seq = t.next_seq; at; fn };
   t.next_seq <- t.next_seq + 1;
   if Telemetry.Global.on () then
     if t.in_run then t.sched_batch <- t.sched_batch + 1
@@ -161,23 +174,25 @@ let run_loop ?until t =
     t.sched_batch <- 0
   in
   t.in_run <- true;
+  let heap = t.heap in
   Fun.protect ~finally:flush (fun () ->
       let continue = ref true in
       while !continue do
-        match Heap.peek t.heap with
-        | None -> continue := false
-        | Some e -> (
+        if heap.Heap.size = 0 then continue := false
+        else begin
+          let e = heap.Heap.data.(0) in
           match until with
           | Some stop when Int64.compare e.at stop > 0 ->
             (* Past the horizon: leave it queued and stop. *)
             t.now <- stop;
             continue := false
           | Some _ | None ->
-            ignore (Heap.pop t.heap);
+            Heap.drop_min heap;
             t.now <- e.at;
             t.events_processed <- t.events_processed + 1;
             if Telemetry.Global.on () then incr processed;
-            e.fn ())
+            e.fn ()
+        end
       done)
 
 let run_inner ?until t =

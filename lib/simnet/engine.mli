@@ -12,7 +12,11 @@ val now : t -> time
 val events_processed : t -> int
 
 val schedule_at : t -> time -> (unit -> unit) -> unit
-(** Times in the past are clamped to now. *)
+(** Times in the past are clamped to now.
+    @raise Invalid_argument if the (clamped) time lies outside
+    [[Int64.of_int min_int, Int64.of_int max_int]]: the queue orders
+    events on native ints. On a 64-bit host that bound is ~146,000
+    years of virtual microseconds. *)
 
 val schedule : t -> delay:time -> (unit -> unit) -> unit
 

@@ -275,6 +275,36 @@ let test_control_seed_replayable () =
     a.Dvm.Chaos.cn_trace_digest b.Dvm.Chaos.cn_trace_digest;
   check Alcotest.bool "whole outcomes identical" true (a = b)
 
+(* The served-digest helper must be MD5 whatever the serve pattern:
+   a reused digest is only ever the digest of byte-equal bytes. *)
+let test_served_digest () =
+  let md5 = Dsig.Md5.digest in
+  let a = String.make 2400 'a' and b = String.make 2400 'b' in
+  (* a fresh copy: equal bytes, a different string *)
+  let a' = Bytes.to_string (Bytes.of_string a) in
+  let t = Dvm.Served.create () in
+  List.iter
+    (fun (key, body) ->
+      check Alcotest.string
+        (Printf.sprintf "digest under %s" key)
+        (md5 body)
+        (Dvm.Served.digest t ~key body))
+    [ ("k", a); ("k", a); ("k", a'); ("k", b); ("k", a); ("k", b); ("j", b); ("k", b) ];
+  check Alcotest.bool "two bodies under one key, two digests" false
+    (String.equal (Dvm.Served.digest t ~key:"k" a) (Dvm.Served.digest t ~key:"k" b));
+  let p = Dvm.Served.create () in
+  Dvm.Served.pin p ~who:"test" ~key:"a1" a;
+  Dvm.Served.pin p ~who:"test" ~key:"a1" a';
+  Dvm.Served.pin p ~who:"test" ~key:"a2" b;
+  check
+    Alcotest.(list (pair string string))
+    "pinned, sorted by key"
+    [ ("a1", md5 a); ("a2", md5 b) ]
+    (Dvm.Served.pinned p);
+  Alcotest.check_raises "a divergent serve still fails"
+    (Failure "test: divergent bytes for a1")
+    (fun () -> Dvm.Served.pin p ~who:"test" ~key:"a1" b)
+
 let () =
   Alcotest.run "chaos"
     [
@@ -286,7 +316,10 @@ let () =
           Alcotest.test_case "three invariants" `Quick test_invariants_hold;
         ] );
       ( "replay",
-        [ Alcotest.test_case "seed determinism" `Quick test_seed_replayable ] );
+        [
+          Alcotest.test_case "seed determinism" `Quick test_seed_replayable;
+          Alcotest.test_case "served digest = MD5" `Quick test_served_digest;
+        ] );
       ( "sessions",
         [
           Alcotest.test_case "serve-stale brownout" `Quick

@@ -69,6 +69,79 @@ let test_ring_routing () =
         true (c > 40))
     counts
 
+(* [hash_key] and [owner] pinned on fixed keys: ownership decides which
+   shard serves, so every seeded trace depends on these exact values. *)
+let test_hash_and_owner_pins () =
+  List.iter
+    (fun (key, h) ->
+      check Alcotest.int (Printf.sprintf "hash_key %S" key) h
+        (Proxy.Farm.hash_key key))
+    [
+      ("", 3673995259836664009);
+      ("a", 3159546800138910499);
+      ("a0/s", 1368150496621228917);
+      ("a3/c5-i7", 3537189079321829741);
+      ("shard-0#0", 4538462775044549591);
+      ("java/lang/Object", 3089194070084790033);
+      ("Hello", 1800366638423344090);
+      ("a11/c39-i1024", 521011404394930320);
+    ];
+  let engine = Simnet.Engine.create () in
+  let farm, _ = make_farm ~shards:4 engine in
+  List.iter
+    (fun (key, o, order) ->
+      check Alcotest.int (Printf.sprintf "owner %S" key) o
+        (Proxy.Farm.owner farm key);
+      check (Alcotest.list Alcotest.int)
+        (Printf.sprintf "preference_order %S" key)
+        order
+        (Proxy.Farm.preference_order farm key))
+    [
+      ("a0/s", 0, [ 0; 3; 2; 1 ]);
+      ("a3/c5-i7", 3, [ 3; 2; 0; 1 ]);
+      ("shard-0#0", 0, [ 0; 1; 2; 3 ]);
+      ("Hello", 0, [ 0; 3; 2; 1 ]);
+      ("a11/c39-i1024", 2, [ 2; 0; 3; 1 ]);
+    ]
+
+(* The precomputed orders against the definition: walk the whole ring
+   clockwise from the key's slot, keeping each shard's first
+   appearance. *)
+let reference_order (farm : Proxy.Farm.t) key =
+  let ring = farm.Proxy.Farm.ring in
+  let n = Array.length ring in
+  let h = Proxy.Farm.hash_key key in
+  let start =
+    let rec find i = if i = n then 0 else if fst ring.(i) >= h then i else find (i + 1) in
+    find 0
+  in
+  let seen = Array.make (Proxy.Farm.size farm) false in
+  List.filter_map
+    (fun i ->
+      let s = snd ring.((start + i) mod n) in
+      if seen.(s) then None
+      else begin
+        seen.(s) <- true;
+        Some s
+      end)
+    (List.init n Fun.id)
+
+let prop_preference_order_is_ring_walk =
+  QCheck.Test.make ~count:200
+    ~name:"preference_order = full ring walk (1-8 shards, 1-64 vnodes)"
+    QCheck.(triple (int_range 1 8) (int_range 1 64) (small_list string))
+    (fun (shards, vnodes, keys) ->
+      let engine = Simnet.Engine.create () in
+      let _, pool = make_farm ~shards engine in
+      let farm = Proxy.Farm.create ~vnodes engine pool in
+      List.for_all
+        (fun key ->
+          let order = Proxy.Farm.preference_order farm key in
+          order = reference_order farm key
+          && List.length order = shards
+          && List.hd order = Proxy.Farm.owner farm key)
+        ("" :: keys))
+
 let test_request_routes_to_owner () =
   let engine = Simnet.Engine.create () in
   let farm, pool = make_farm ~shards:4 engine in
@@ -813,6 +886,9 @@ let () =
           Alcotest.test_case "ring ownership" `Quick test_ring_routing;
           Alcotest.test_case "routes to owner" `Quick
             test_request_routes_to_owner;
+          Alcotest.test_case "hash and owner pins" `Quick
+            test_hash_and_owner_pins;
+          QCheck_alcotest.to_alcotest prop_preference_order_is_ring_walk;
         ] );
       ( "failover",
         [

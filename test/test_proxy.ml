@@ -328,6 +328,49 @@ let test_pipeline_memo_transparent () =
   check Alcotest.bool "other stack really ran" true
     (String.equal other.Proxy.Pipeline.out_bytes bytes)
 
+(* The memo hashes only a window of the input, so inputs that differ
+   in one byte may share a hash bucket; lookups must still compare
+   every byte. Forty variants of one class, each with a different
+   single byte of a long string constant changed, must each miss and
+   each get its own bytes back. *)
+let test_pipeline_memo_exact_keys () =
+  let with_str str =
+    Bytecode.Encode.class_to_bytes
+      (B.class_ "Long"
+         [
+           B.meth ~flags:static "main" "()V"
+             [
+               B.Getstatic ("java/lang/System", "out", "Ljava/io/OutputStream;");
+               B.Push_str str;
+               B.Invokevirtual
+                 ("java/io/OutputStream", "println", "(Ljava/lang/String;)V");
+               B.Return;
+             ];
+         ])
+  in
+  let base = String.make 2400 'x' in
+  let variants =
+    with_str base
+    :: List.init 40 (fun i ->
+           with_str (String.mapi (fun j c -> if j = 1000 + i then 'y' else c) base))
+  in
+  let memo = Proxy.Pipeline.Memo.create () in
+  let fs = [ Rewrite.Filter.identity ] in
+  let twice = variants @ variants in
+  List.iter
+    (fun bytes ->
+      check Alcotest.string "memo serves the input's own outcome"
+        (Proxy.Pipeline.run fs bytes).Proxy.Pipeline.out_bytes
+        (Proxy.Pipeline.run ~memo fs bytes).Proxy.Pipeline.out_bytes)
+    twice;
+  check Alcotest.int "every variant missed once" 41
+    (Proxy.Pipeline.Memo.misses memo);
+  check Alcotest.int "every variant hit once" 41 (Proxy.Pipeline.Memo.hits memo);
+  (* the version is part of the key *)
+  let o = Proxy.Pipeline.run ~policy_version:7 ~memo fs (List.hd variants) in
+  check Alcotest.int "a new version misses" 42 (Proxy.Pipeline.Memo.misses memo);
+  check Alcotest.int "stamped with its version" 7 o.Proxy.Pipeline.out_version
+
 (* --- Wire protocol. --- *)
 
 let test_http_roundtrip () =
@@ -1402,6 +1445,8 @@ let () =
             test_pipeline_encode_overflow_rejects;
           Alcotest.test_case "memo transparent" `Quick
             test_pipeline_memo_transparent;
+          Alcotest.test_case "memo keys compare every byte" `Quick
+            test_pipeline_memo_exact_keys;
           Alcotest.test_case "accept path pin" `Quick test_accept_path_pin;
         ] );
       ( "wire",

@@ -130,22 +130,140 @@ let test_memory_pressure_slows () =
   Simnet.Host.release h 2000;
   check Alcotest.int64 "recovers" base (Simnet.Host.effective_cost h ~cost_us:100L)
 
+(* Flat schedules, many equal and past times: the firing order is
+   exactly List.stable_sort by time clamped to the clock. *)
 let prop_heap_orders_events =
-  QCheck.Test.make ~name:"events fire in time order" ~count:100
-    QCheck.(list (int_bound 10_000))
+  QCheck.Test.make ~name:"events fire in time order" ~count:300
+    QCheck.(list (int_range (-10) 40))
     (fun times ->
       let e = Simnet.Engine.create () in
       let fired = ref [] in
-      List.iter
-        (fun t ->
+      List.iteri
+        (fun i t ->
           Simnet.Engine.schedule_at e (Int64.of_int t) (fun () ->
-              fired := Simnet.Engine.now e :: !fired))
+              fired := (i, Simnet.Engine.now e) :: !fired))
         times;
       Simnet.Engine.run e;
-      let fired = List.rev !fired in
-      (* fired times are sorted and a permutation of the input *)
-      List.sort compare fired = fired
-      && List.sort compare (List.map Int64.of_int times) = List.sort compare fired)
+      let expect =
+        List.stable_sort
+          (fun (_, a) (_, b) -> compare a b)
+          (List.mapi (fun i t -> (i, Int64.of_int (max 0 t))) times)
+      in
+      List.rev !fired = expect)
+
+(* A schedule: events at absolute times (negative = in the past), each
+   of whose handlers schedules children at relative delays (negative =
+   in the past again) when it fires, two levels deep. Every event has
+   its own [id], so the two sides compare which event fired when. *)
+type ev = { id : int; time : int; kids : ev list }
+
+let gen_schedule =
+  QCheck.Gen.(
+    let node kids time = { id = 0; time; kids } in
+    let time = int_range (-20) 60 in
+    let leaf = map (node []) time in
+    let mid = map2 node (list_size (int_bound 3) leaf) time in
+    let number evs =
+      let next = ref 0 in
+      let rec go e =
+        incr next;
+        let id = !next in
+        { e with id; kids = List.map go e.kids }
+      in
+      List.map go evs
+    in
+    pair
+      (map number (list_size (int_bound 25) (map2 node (list_size (int_bound 3) mid) time)))
+      (opt (int_range (-5) 80)))
+
+let print_schedule (evs, until) =
+  let rec pp e =
+    Printf.sprintf "#%d@%d[%s]" e.id e.time (String.concat "," (List.map pp e.kids))
+  in
+  Printf.sprintf "until=%s events=%s"
+    (match until with Some u -> string_of_int u | None -> "-")
+    (String.concat " " (List.map pp evs))
+
+(* The engine's contract as a naive model: pending events in a list,
+   each at its time clamped to the clock when scheduled, numbered in
+   scheduling order; the next to fire is the least (time, number) —
+   what a stable sort by clamped time gives. Returns the fired
+   (id, time) pairs and the clock at the end. *)
+let model ?until evs =
+  let now = ref 0 and seq = ref 0 and pending = ref [] and fired = ref [] in
+  let add at e =
+    pending := (max at !now, !seq, e) :: !pending;
+    incr seq
+  in
+  List.iter (fun e -> add e.time e) evs;
+  let rec loop () =
+    match List.sort (fun (a, i, _) (b, j, _) -> compare (a, i) (b, j)) !pending with
+    | [] -> ()
+    | (at, _, _) :: _ when (match until with Some u -> at > u | None -> false) ->
+      now := Option.get until
+    | (at, _, e) :: rest ->
+      pending := rest;
+      now := at;
+      fired := (e.id, at) :: !fired;
+      List.iter (fun k -> add (at + k.time) k) e.kids;
+      loop ()
+  in
+  loop ();
+  (List.rev !fired, !now)
+
+let engine_run ?until evs =
+  let e = Simnet.Engine.create () in
+  let fired = ref [] in
+  let rec handler ev () =
+    fired := (ev.id, Int64.to_int (Simnet.Engine.now e)) :: !fired;
+    List.iter
+      (fun k -> Simnet.Engine.schedule e ~delay:(Int64.of_int k.time) (handler k))
+      ev.kids
+  in
+  List.iter (fun ev -> Simnet.Engine.schedule_at e (Int64.of_int ev.time) (handler ev)) evs;
+  Simnet.Engine.run ?until:(Option.map Int64.of_int until) e;
+  let first = (List.rev !fired, Int64.to_int (Simnet.Engine.now e)) in
+  (* a later unbounded run drains what the horizon left queued *)
+  Simnet.Engine.run e;
+  (first, List.rev !fired, e)
+
+(* Bounded by the optional horizon first (fired prefix and clock),
+   then drained by an unbounded run. *)
+let prop_engine_matches_model =
+  QCheck.Test.make ~count:300
+    ~name:"firing order = stable sort by (clamped time, insertion seq)"
+    (QCheck.make gen_schedule ~print:print_schedule)
+    (fun (evs, until) ->
+      let (bounded, now), all, e = engine_run ?until evs in
+      let m_bounded, m_now = model ?until evs in
+      let m_all, _ = model evs in
+      bounded = m_bounded && now = m_now && all = m_all
+      && Simnet.Engine.events_processed e = List.length m_all)
+
+(* The queue orders events on native ints: a time an int cannot hold
+   is refused at scheduling, not misordered. *)
+let test_time_outside_int_range () =
+  let e = Simnet.Engine.create () in
+  let big = Int64.succ (Int64.of_int max_int) in
+  Alcotest.check_raises "past max_int"
+    (Invalid_argument "Engine.schedule_at: time outside the int range")
+    (fun () -> Simnet.Engine.schedule_at e big ignore);
+  Alcotest.check_raises "max_int64"
+    (Invalid_argument "Engine.schedule_at: time outside the int range")
+    (fun () -> Simnet.Engine.schedule_at e Int64.max_int ignore);
+  (* the largest int time is accepted and still fires last *)
+  let order = ref [] in
+  Simnet.Engine.schedule_at e (Int64.of_int max_int) (fun () -> order := "max" :: !order);
+  Simnet.Engine.schedule_at e 5L (fun () -> order := "five" :: !order);
+  Simnet.Engine.run e;
+  check (Alcotest.list Alcotest.string) "order" [ "five"; "max" ] (List.rev !order);
+  check Alcotest.int64 "clock" (Int64.of_int max_int) (Simnet.Engine.now e);
+  (* an int64 horizon beyond every int time stops nothing *)
+  let e = Simnet.Engine.create () in
+  let fired = ref 0 in
+  Simnet.Engine.schedule_at e 7L (fun () -> incr fired);
+  Simnet.Engine.run ~until:Int64.max_int e;
+  check Alcotest.int "fired under a huge horizon" 1 !fired
 
 let () =
   Alcotest.run "simnet"
@@ -160,6 +278,9 @@ let () =
           Alcotest.test_case "trace cap and dropped counter" `Quick
             test_trace_cap;
           QCheck_alcotest.to_alcotest prop_heap_orders_events;
+          QCheck_alcotest.to_alcotest prop_engine_matches_model;
+          Alcotest.test_case "time outside the int range" `Quick
+            test_time_outside_int_range;
         ] );
       ( "link",
         [
